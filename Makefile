@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-baseline bench-compare scaling-gate fuzz-smoke service-smoke lint ci api api-check
+.PHONY: all build test race bench perfbench bench-baseline bench-compare scaling-gate fuzz-smoke service-smoke lint ci api api-check
 
 all: build
 
@@ -12,6 +12,7 @@ build:
 
 test:
 	$(GO) test -shuffle=on ./...
+	cd perfbench && $(GO) test .
 
 race:
 	$(GO) test -race ./internal/runner/... ./internal/eventq/... ./internal/fairshare/... ./internal/flowsim/... ./internal/simcore/... ./internal/simcore/shard/... ./internal/packetsim/... ./internal/hybrid/... ./internal/scenario/... ./internal/service/... ./internal/linkmodel/...
@@ -24,6 +25,16 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' ./...
+
+# The benchmark declared in BENCHMARK.json: every workload through
+# perfbench/run.py (which builds perfbench from source under .bench_build/),
+# one JSON result line each. PERFBENCH_SECONDS is each workload's
+# host-time budget of repetitions.
+PERFBENCH_SECONDS ?= 15
+perfbench:
+	@for w in ixp-day fabric-dense fattree-packet stream-service; do \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds $(PERFBENCH_SECONDS) --trace 0 || exit 1; \
+	done
 
 # Regenerate the committed benchmark baseline (do this deliberately, on a
 # quiet machine, when a PR intentionally changes event counts or

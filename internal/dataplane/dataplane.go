@@ -189,19 +189,31 @@ type Decision struct {
 	// Miss indicates no entry matched in the first table (distinguishes
 	// reactive punts from explicit ones).
 	Miss bool
-	// Meters lists meters the flow passes through, in order.
-	Meters []openflow.MeterID
-	// Entries lists every flow entry the flow matched, pipeline order.
-	Entries []*openflow.FlowEntry
 	// Key is the (possibly rewritten) flow key leaving the switch.
 	Key header.FlowKey
+
+	// A pipeline matches at most one entry per table (goto only moves
+	// forward), so fixed arrays hold the matches without allocating.
+	entries  [NumTables]*openflow.FlowEntry
+	meters   [NumTables]openflow.MeterID
+	nEntries uint8
+	nMeters  uint8
 }
+
+// Entries lists every flow entry the flow matched, in pipeline order. The
+// slice aliases d.
+func (d *Decision) Entries() []*openflow.FlowEntry { return d.entries[:d.nEntries] }
+
+// Meters lists the meters the flow passes through, in order. The slice
+// aliases d.
+func (d *Decision) Meters() []openflow.MeterID { return d.meters[:d.nMeters] }
 
 // PortLive reports whether a port currently has an up link; used for group
 // liveness.
 type PortLive func(netgraph.PortNum) bool
 
-// Process runs key through the switch pipeline starting at table 0.
+// Process runs key through the switch pipeline starting at table 0. It
+// allocates nothing, so it can run on every packet hop.
 func (s *Switch) Process(key header.FlowKey, live PortLive) Decision {
 	d := Decision{Out: netgraph.NoPort, Key: key}
 	table := openflow.TableID(0)
@@ -223,9 +235,11 @@ func (s *Switch) Process(key header.FlowKey, live PortLive) Decision {
 			}
 			return d
 		}
-		d.Entries = append(d.Entries, e)
+		d.entries[d.nEntries] = e
+		d.nEntries++
 		if e.Instr.Meter != 0 {
-			d.Meters = append(d.Meters, e.Instr.Meter)
+			d.meters[d.nMeters] = e.Instr.Meter
+			d.nMeters++
 		}
 		s.applyActions(e.Instr.Actions, &d, live)
 		if d.Drop {

@@ -93,7 +93,7 @@ func TestProcessOutput(t *testing.T) {
 	if d.Out != 7 || d.Drop || d.ToController {
 		t.Errorf("decision = %+v", d)
 	}
-	if len(d.Entries) != 1 {
+	if len(d.Entries()) != 1 {
 		t.Error("matched entry not recorded")
 	}
 }
@@ -110,11 +110,11 @@ func TestProcessGotoTablePipeline(t *testing.T) {
 	if d.Out != 2 {
 		t.Errorf("pipeline output = %d, want 2", d.Out)
 	}
-	if len(d.Meters) != 1 || d.Meters[0] != 5 {
-		t.Errorf("meters = %v", d.Meters)
+	if len(d.Meters()) != 1 || d.Meters()[0] != 5 {
+		t.Errorf("meters = %v", d.Meters())
 	}
-	if len(d.Entries) != 2 {
-		t.Errorf("entries = %d, want 2", len(d.Entries))
+	if len(d.Entries()) != 2 {
+		t.Errorf("entries = %d, want 2", len(d.Entries()))
 	}
 }
 

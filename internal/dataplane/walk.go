@@ -1,6 +1,8 @@
 package dataplane
 
 import (
+	"slices"
+
 	"horse/internal/header"
 	"horse/internal/netgraph"
 	"horse/internal/openflow"
@@ -129,82 +131,106 @@ func (n *Network) Walk(key header.FlowKey, src, dst netgraph.NodeID) PathResult 
 		return res
 	}
 
-	type visit struct {
-		node netgraph.NodeID
-		key  header.FlowKey
-	}
-	seen := make(map[visit]bool)
+	// A walk's results grow in stack buffers sized for typical fabrics
+	// (append spills longer walks to the heap) and leave as exact-size
+	// copies. Loops are found by a linear scan of the visited (switch,
+	// key) states: paths are short, so the scan beats hashing.
+	var (
+		hopBuf   [8]Hop
+		entryBuf [8 * NumTables]*openflow.FlowEntry
+		meterBuf [8]MeterRef
+		puntBuf  [4]netgraph.NodeID
+		seenBuf  [16]visit
+	)
+	hops, entries, meters, punts, seen := hopBuf[:0], entryBuf[:0], meterBuf[:0], puntBuf[:0], seenBuf[:0]
 	cur, curIn, curKey := sw, inPort, key
 
+	// res.At tracks cur; a walk that revisits a state or runs out of hops
+	// ends Looped there.
+	res.Terminal, res.At = Looped, cur
 	maxHops := 4*n.Topo.NumNodes() + 8
+walk:
 	for hop := 0; hop < maxHops; hop++ {
 		v := visit{cur, curKey}
-		if seen[v] {
-			res.Terminal = Looped
-			res.At = cur
-			return res
+		if slices.Contains(seen, v) {
+			break
 		}
-		seen[v] = true
+		seen = append(seen, v)
 
 		s := n.Switches[cur]
 		if s == nil {
 			res.Terminal = Stuck
-			res.At = cur
-			return res
+			break
 		}
 		d := s.Process(curKey, n.PortLiveFunc(cur))
-		res.Entries = append(res.Entries, d.Entries...)
-		for _, m := range d.Meters {
-			res.Meters = append(res.Meters, MeterRef{Switch: cur, Meter: m})
+		entries = append(entries, d.Entries()...)
+		for _, m := range d.Meters() {
+			meters = append(meters, MeterRef{Switch: cur, Meter: m})
 		}
 		if d.ToController {
-			res.PacketIns = append(res.PacketIns, cur)
+			punts = append(punts, cur)
 		}
 		switch {
 		case d.Drop:
 			res.Terminal = Dropped
-			res.At = cur
-			return res
+			break walk
 		case d.Flood:
 			res.Terminal = Flooded
-			res.At = cur
 			res.FloodReaches = n.floodReaches(cur, curIn, dst)
-			return res
+			break walk
 		case d.Out != netgraph.NoPort:
 			link := n.Topo.LinkAt(cur, d.Out)
 			if link == nil || !link.Up {
 				res.Terminal = Stuck
-				res.At = cur
-				return res
+				break walk
 			}
 			next, nextPort := link.Peer(cur)
-			res.Hops = append(res.Hops, Hop{Switch: cur, InPort: curIn, OutPort: d.Out, Link: link})
+			hops = append(hops, Hop{Switch: cur, InPort: curIn, OutPort: d.Out, Link: link})
 			if n.Topo.Node(next).Kind == netgraph.KindHost {
 				if next == dst || dst < 0 {
-					res.Terminal = Delivered
+					res.Terminal, res.At = Delivered, 0
 					res.ExitKey = d.Key
-					return res
+					break walk
 				}
 				// Delivered to the wrong host: the policy misdirected the
 				// flow; classify as dropped there.
 				res.Terminal = Dropped
 				res.At = next
-				return res
+				break walk
 			}
 			cur, curIn, curKey = next, nextPort, d.Key
+			res.At = cur
 		case d.ToController:
 			res.Terminal = Punted
-			res.At = cur
-			return res
+			break walk
 		default:
 			res.Terminal = Dropped
-			res.At = cur
-			return res
+			break walk
 		}
 	}
-	res.Terminal = Looped
-	res.At = cur
+	res.Hops = exact(hops)
+	res.Entries = exact(entries)
+	res.Meters = exact(meters)
+	res.PacketIns = exact(punts)
 	return res
+}
+
+// visit is one (switch, key) state of a path walk; revisiting one is a
+// forwarding loop.
+type visit struct {
+	node netgraph.NodeID
+	key  header.FlowKey
+}
+
+// exact returns a heap copy of buf at its exact length, or nil when buf is
+// empty, so a walk's stack buffers never escape.
+func exact[T any](buf []T) []T {
+	if len(buf) == 0 {
+		return nil
+	}
+	out := make([]T, len(buf))
+	copy(out, buf)
+	return out
 }
 
 // floodReaches reports whether flooding from sw (excluding inPort) would

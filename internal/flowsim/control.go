@@ -196,7 +196,7 @@ func (s *Simulator) portStats(dp netgraph.NodeID, port netgraph.PortNum) *openfl
 		// Tx direction: from dp outward.
 		txRes := linkResource(l.ID, l.A == dp)
 		rxRes := linkResource(l.ID, l.B == dp)
-		txL, rxL := s.ledgers[txRes], s.ledgers[rxRes]
+		txL, rxL := s.ledger(txRes), s.ledger(rxRes)
 		ps := openflow.PortStats{Port: p, LinkBps: l.BandwidthBps, Up: l.Up}
 		if txL != nil {
 			txL.settle(s.k.Now())

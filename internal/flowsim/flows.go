@@ -38,7 +38,6 @@ func (s *Simulator) handleArrival(d traffic.Demand) {
 		lastSettle: s.k.Now(),
 		Deadline:   simtime.Never,
 		waitingAt:  -1,
-		puntedAt:   make(map[netgraph.NodeID]bool),
 	}
 	if d.Duration > 0 {
 		f.Deadline = s.k.Now().Add(d.Duration)
@@ -60,6 +59,9 @@ func (s *Simulator) resolve(f *Flow) {
 	// (a flow's buffered first packet produces one PacketIn per switch).
 	for _, sw := range res.PacketIns {
 		if !f.puntedAt[sw] {
+			if f.puntedAt == nil {
+				f.puntedAt = make(map[netgraph.NodeID]bool)
+			}
 			f.puntedAt[sw] = true
 			f.punts++
 			s.col.PacketIns++
@@ -161,11 +163,13 @@ func (s *Simulator) activate(f *Flow, res dataplane.PathResult) {
 	_ = oldPath
 	// The flow found a path; if its rules are later evicted it punts as a
 	// fresh episode, so clear the PacketIn dedup set.
-	if len(f.puntedAt) > 0 {
-		f.puntedAt = make(map[netgraph.NodeID]bool)
-	}
+	clear(f.puntedAt)
 
-	// Resources: every link direction along the path plus every meter.
+	// Resources: every link direction along the path, the host ingress
+	// link, and every meter.
+	if n := len(f.hops) + 1 + len(f.meterRefs); cap(f.resources) < n {
+		f.resources = make([]fairshare.ResourceID, 0, n)
+	}
 	f.resources = f.resources[:0]
 	for _, h := range f.hops {
 		fwd := h.Link.A == h.Switch
@@ -319,10 +323,9 @@ func (s *Simulator) adjustLedgers(f *Flow, delta float64) {
 		return
 	}
 	for _, r := range f.resources {
-		l := s.ledgers[r]
+		l := s.ledger(r)
 		if l == nil {
-			l = &resLedger{last: s.k.Now()}
-			s.ledgers[r] = l
+			continue
 		}
 		l.settle(s.k.Now())
 		l.rate += delta
@@ -556,15 +559,13 @@ func (s *Simulator) finalize(f *Flow, completed bool, outcome string) {
 		PathLen:   f.lastPathLen,
 		Punts:     f.punts,
 	})
-	if s.recordSink != nil {
-		// Streaming mode: the record has left the building and nothing
-		// re-resolves a Done flow (markDirty and the batch runner both
-		// skip them; in-flight events hold the pointer and die on the gen
-		// stamp), so the flow state can be reclaimed — the piece that
-		// keeps multi-million-flow runs at bounded memory.
-		delete(s.flows, f.ID)
-		delete(s.dirtyFlows, f.ID)
-	}
+	// The record now lives in the collector (or has streamed out) and
+	// nothing re-resolves a Done flow (markDirty and the batch runner both
+	// skip them; in-flight events hold the pointer and die on the gen
+	// stamp), so the flow state is reclaimed at once — the piece that
+	// keeps long runs at bounded memory.
+	delete(s.flows, f.ID)
+	delete(s.dirtyFlows, f.ID)
 }
 
 // scheduleRamp arms the next TCP window re-evaluation one RTT out, when

@@ -94,7 +94,8 @@ type Flow struct {
 	meterRefs   []dataplane.MeterRef
 	resources   []fairshare.ResourceID
 	waitingAt   netgraph.NodeID
-	puntedAt    map[netgraph.NodeID]bool
+	// puntedAt dedups PacketIns per switch; nil until the first punt.
+	puntedAt map[netgraph.NodeID]bool
 
 	// TCP state: flow-level AIMD over the offered demand.
 	txStart   simtime.Time // when transmission (re)started
@@ -360,6 +361,15 @@ func (l *resLedger) settle(now simtime.Time) {
 	}
 }
 
+// ledger returns the ledger of a link-direction resource, or nil for a
+// meter resource.
+func (s *Simulator) ledger(r fairshare.ResourceID) *resLedger {
+	if r >= fairshare.ResourceID(len(s.ledgers)) {
+		return nil
+	}
+	return &s.ledgers[r]
+}
+
 // Simulator is a Horse simulation run. Create with New, feed with Load /
 // InjectAt / ScheduleLinkChange, execute with Run.
 type Simulator struct {
@@ -374,12 +384,15 @@ type Simulator struct {
 	flows  map[FlowID]*Flow
 	nextID FlowID
 
-	// waiting flows parked at a switch; flowsAt indexes active flows by
-	// traversed switch for re-resolution on state changes.
+	// waiting flows parked at a switch; flowsAt, indexed by node ID,
+	// holds active flows by traversed switch for re-resolution on state
+	// changes.
 	waiting map[netgraph.NodeID]map[FlowID]*Flow
-	flowsAt map[netgraph.NodeID]map[FlowID]*Flow
+	flowsAt []map[FlowID]*Flow
 
-	ledgers map[fairshare.ResourceID]*resLedger
+	// ledgers is indexed by link-direction resource (link<<1|forward).
+	// Meters keep none: no port counter reads them.
+	ledgers []resLedger
 	col     *stats.Collector
 	ctrl    Controller
 	ctx     *Context
@@ -419,10 +432,8 @@ type Simulator struct {
 	shiftScratch []fairshare.ResourceID
 
 	// observers receive applied network-dynamics events (the public
-	// Observe hook); recordSink, when set, streams finished-flow records
-	// and lets finalized flows be evicted (bounded-memory runs).
-	observers  simevent.Observers
-	recordSink func(stats.FlowRecord)
+	// Observe hook).
+	observers simevent.Observers
 
 	// reader, when set, streams demands in one at a time (bounded-memory
 	// ingestion): exactly one chained arrival event is outstanding, and
@@ -472,8 +483,8 @@ func New(cfg Config) *Simulator {
 		alloc:       fairshare.New(),
 		flows:       make(map[FlowID]*Flow),
 		waiting:     make(map[netgraph.NodeID]map[FlowID]*Flow),
-		flowsAt:     make(map[netgraph.NodeID]map[FlowID]*Flow),
-		ledgers:     make(map[fairshare.ResourceID]*resLedger),
+		flowsAt:     make([]map[FlowID]*Flow, cfg.Topology.NumNodes()),
+		ledgers:     make([]resLedger, 2*cfg.Topology.NumLinks()),
 		col:         stats.NewCollector(cfg.StatsEvery),
 		ctrl:        cfg.Controller,
 		dirtyFlows:  make(map[FlowID]*Flow),
@@ -491,13 +502,11 @@ func New(cfg Config) *Simulator {
 	// The kernel settles deferred fair-share work exactly when virtual
 	// time would advance, so all events at one instant share a solve.
 	s.k.AddPreAdvance(func() bool { return s.allocDirty }, s.drainAlloc)
-	// Declare every link direction to the allocator and ledger. A model
-	// installed before the run scales the initial capacity too.
+	// Declare every link direction to the allocator. A model installed
+	// before the run scales the initial capacity too.
 	for _, l := range s.topo.Links() {
 		for _, fwd := range []bool{true, false} {
-			r := linkResource(l.ID, fwd)
-			s.alloc.SetCapacity(r, l.BandwidthBps*s.links.RateScale(l.ID, fwd, 0))
-			s.ledgers[r] = &resLedger{}
+			s.alloc.SetCapacity(linkResource(l.ID, fwd), l.BandwidthBps*s.links.RateScale(l.ID, fwd, 0))
 		}
 		s.armRateStep(l.ID)
 	}
@@ -520,7 +529,9 @@ func (s *Simulator) Topology() *netgraph.Topology { return s.topo }
 // Kernel returns the simulation kernel driving this simulator.
 func (s *Simulator) Kernel() *simcore.Kernel { return s.k }
 
-// Flow returns a flow by ID (nil if unknown).
+// Flow returns an unfinished flow by ID. It returns nil for an unknown
+// flow and for one that has finalized: a finished flow's state is evicted
+// at once, and its record lives on in the collector.
 func (s *Simulator) Flow(id FlowID) *Flow { return s.flows[id] }
 
 // Allocator exposes the bandwidth allocator (read-mostly; used by stats
@@ -675,13 +686,9 @@ func (s *Simulator) Observe(fn simevent.Observer) { s.observers.Add(fn) }
 
 // SetRecordSink streams every stats.FlowRecord to sink the moment the
 // flow finalizes, in exactly the order the collector would have
-// accumulated them, and evicts finalized flow state — so a multi-million-
-// flow run completes with O(1) record memory (Collector().Flows() stays
-// empty). Install before Run.
-func (s *Simulator) SetRecordSink(sink func(stats.FlowRecord)) {
-	s.recordSink = sink
-	s.col.SetFlowSink(sink)
-}
+// accumulated them — so a multi-million-flow run completes with O(1)
+// record memory (Collector().Flows() stays empty). Install before Run.
+func (s *Simulator) SetRecordSink(sink func(stats.FlowRecord)) { s.col.SetFlowSink(sink) }
 
 // SetProgress arms progress reporting: fn receives a simevent.Progress at
 // most once per `every` of virtual time, driven off the kernel's

@@ -72,3 +72,27 @@ func TestReaderMatchesLoad(t *testing.T) {
 		t.Fatalf("streamed sink sequence diverged: %d vs %d records", len(want), len(streamed))
 	}
 }
+
+// TestFinishedFlowsEvicted pins the flow engine's bounded memory without
+// a record sink: a finalized flow's state is reclaimed at once, so after
+// the run no flow is reachable through Flow while every record stays in
+// the collector.
+func TestFinishedFlowsEvicted(t *testing.T) {
+	topo, cfg := streamWorkload()
+	tr := traffic.NewGenerator(1).PoissonArrivals(cfg)
+	sim := New(Config{Topology: topo, Controller: proactiveMAC{}, Miss: dataplane.MissController})
+	sim.Load(tr)
+	col := mustRun(sim, simtime.Never)
+	recs := col.Flows()
+	if len(recs) != len(tr) {
+		t.Fatalf("recorded %d of %d flows", len(recs), len(tr))
+	}
+	for _, r := range recs {
+		if f := sim.Flow(FlowID(r.ID)); f != nil {
+			t.Fatalf("flow %d (%s) still held after the run", r.ID, r.Outcome)
+		}
+	}
+	if n := len(sim.flows); n != 0 {
+		t.Errorf("%d flows retained after the run", n)
+	}
+}

@@ -51,20 +51,23 @@ type Node struct {
 	Name string
 	Kind NodeKind
 
-	// ports maps port number to the link attached there.
-	ports map[PortNum]LinkID
-	// nextPort is the next port number to assign.
-	nextPort PortNum
+	// links[p-1] is the link attached at port p. Ports are numbered 1,
+	// 2, … in attach order and never removed, so the slice is dense.
+	links []LinkID
+	// ports is 1..len(links), the shared slice Ports returns.
+	ports []PortNum
 }
 
-// Ports returns the attached port numbers in ascending order.
-func (n *Node) Ports() []PortNum {
-	out := make([]PortNum, 0, len(n.ports))
-	for p := range n.ports {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// Ports returns the attached port numbers in ascending order. The
+// returned slice is shared and must not be modified.
+func (n *Node) Ports() []PortNum { return n.ports }
+
+// attach adds the next port, joined to link id, and returns its number.
+func (n *Node) attach(id LinkID) PortNum {
+	n.links = append(n.links, id)
+	p := PortNum(len(n.links))
+	n.ports = append(n.ports, p)
+	return p
 }
 
 // Link is a bidirectional link between two node ports. Capacity applies
@@ -131,10 +134,7 @@ func (t *Topology) addNode(name string, kind NodeKind) NodeID {
 		panic(fmt.Sprintf("netgraph: duplicate node name %q", name))
 	}
 	id := NodeID(len(t.nodes))
-	t.nodes = append(t.nodes, &Node{
-		ID: id, Name: name, Kind: kind,
-		ports: make(map[PortNum]LinkID), nextPort: 1,
-	})
+	t.nodes = append(t.nodes, &Node{ID: id, Name: name, Kind: kind})
 	t.byName[name] = id
 	return id
 }
@@ -149,13 +149,9 @@ func (t *Topology) Connect(a, b NodeID, bandwidthBps float64, delay simtime.Dura
 	id := LinkID(len(t.links))
 	l := &Link{
 		ID: id, A: a, B: b,
-		APort: na.nextPort, BPort: nb.nextPort,
+		APort: na.attach(id), BPort: nb.attach(id),
 		BandwidthBps: bandwidthBps, Delay: delay, Up: true,
 	}
-	na.ports[na.nextPort] = id
-	nb.ports[nb.nextPort] = id
-	na.nextPort++
-	nb.nextPort++
 	t.links = append(t.links, l)
 	return id
 }
@@ -230,37 +226,34 @@ func (t *Topology) byKind(k NodeKind) []NodeID {
 
 // LinkAt returns the link attached to the given port of a node, or nil.
 func (t *Topology) LinkAt(n NodeID, p PortNum) *Link {
-	id, ok := t.node(n).ports[p]
-	if !ok {
+	links := t.node(n).links
+	if p == NoPort || int(p) > len(links) {
 		return nil
 	}
-	return t.links[id]
+	return t.links[links[p-1]]
 }
 
 // PortToward returns the local port on `from` whose link leads directly to
 // `to`, or NoPort if the nodes are not adjacent via an up link. When
 // multiple parallel links exist the lowest-numbered up port wins.
 func (t *Topology) PortToward(from, to NodeID) PortNum {
-	n := t.node(from)
-	best := NoPort
-	for p, lid := range n.ports {
+	for i, lid := range t.node(from).links {
 		l := t.links[lid]
 		if !l.Up {
 			continue
 		}
-		peer, _ := l.Peer(from)
-		if peer == to && (best == NoPort || p < best) {
-			best = p
+		if peer, _ := l.Peer(from); peer == to {
+			return PortNum(i + 1)
 		}
 	}
-	return best
+	return NoPort
 }
 
 // Neighbors returns the IDs of nodes adjacent to n over up links, sorted.
 func (t *Topology) Neighbors(n NodeID) []NodeID {
 	seen := make(map[NodeID]bool)
 	var out []NodeID
-	for _, lid := range t.node(n).ports {
+	for _, lid := range t.node(n).links {
 		l := t.links[lid]
 		if !l.Up {
 			continue
@@ -295,19 +288,12 @@ func (t *Topology) HostOfPort(sw NodeID, p PortNum) NodeID {
 
 // AttachedSwitch returns the switch a host connects to and the switch-side
 // port, or (-1, NoPort) if the host is isolated. Hosts are single-homed in
-// Horse; with multiple links the lowest link ID wins.
+// Horse; with multiple links the lowest link ID wins, which is port 1's
+// (link IDs grow in creation order, as do a node's port numbers).
 func (t *Topology) AttachedSwitch(host NodeID) (NodeID, PortNum) {
 	h := t.node(host)
-	bestLink := LinkID(-1)
-	for _, lid := range h.ports {
-		if bestLink == -1 || lid < bestLink {
-			bestLink = lid
-		}
-	}
-	if bestLink == -1 {
+	if len(h.links) == 0 {
 		return -1, NoPort
 	}
-	l := t.links[bestLink]
-	peer, peerPort := l.Peer(host)
-	return peer, peerPort
+	return t.links[h.links[0]].Peer(host)
 }

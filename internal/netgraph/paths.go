@@ -98,9 +98,8 @@ func (t *Topology) dijkstra(src NodeID, cost Cost, banned map[LinkID]bool) (dist
 			continue // stale entry
 		}
 		node := t.nodes[it.node]
-		// Iterate ports in sorted order for determinism.
-		for _, p := range node.Ports() {
-			lid := node.ports[p]
+		// Iterate ports in ascending order for determinism.
+		for _, lid := range node.links {
 			l := t.links[lid]
 			if !l.Up || (banned != nil && banned[lid]) {
 				continue
@@ -152,8 +151,8 @@ func (t *Topology) ECMPNextHops(dst NodeID, cost Cost) [][]NodeID {
 		node := t.nodes[v]
 		var hops []NodeID
 		seen := make(map[NodeID]bool)
-		for _, p := range node.Ports() {
-			l := t.links[node.ports[p]]
+		for _, lid := range node.links {
+			l := t.links[lid]
 			if !l.Up {
 				continue
 			}
@@ -203,7 +202,7 @@ func (t *Topology) KShortestPaths(src, dst NodeID, k int, cost Cost) []Path {
 			// Ban revisiting root nodes by banning all their links
 			// (except the spur node itself).
 			for _, rn := range rootPath[:len(rootPath)-1] {
-				for _, lid := range t.nodes[rn].ports {
+				for _, lid := range t.nodes[rn].links {
 					banned[lid] = true
 				}
 			}

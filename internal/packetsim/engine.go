@@ -265,13 +265,13 @@ func (s *Simulator) forward(p *packet, node netgraph.NodeID, in netgraph.PortNum
 	// Per-packet entry accounting: counters feed FlowStats replies and
 	// LastUsed drives idle timeouts — the packet-granular analogue of the
 	// flow engine's settle-time updates.
-	for _, e := range d.Entries {
+	for _, e := range d.Entries() {
 		e.Packets++
 		e.Bytes += uint64(p.bits / 8)
 		e.LastUsed = s.k.Now()
 	}
 	// Token-bucket policing for any meters on the matched entries.
-	for _, mid := range d.Meters {
+	for _, mid := range d.Meters() {
 		if !s.meterAdmit(node, mid, p.bits) {
 			s.dropPacket(p)
 			return true
@@ -463,6 +463,13 @@ func (s *Simulator) dropPacket(p *packet) {
 // record emits the flow's statistics record at Finish.
 func (s *Simulator) record(f *pktFlow, sims []*Simulator) {
 	r, _ := s.assemble(f, sims)
+	s.addRecord(r)
+}
+
+// addRecord hands a finished flow's record to the collector and tallies its
+// outcome into the completion counters.
+func (s *Simulator) addRecord(r stats.FlowRecord) {
+	s.col.CountOutcome(r)
 	s.col.AddFlow(r)
 }
 
@@ -606,7 +613,7 @@ func (s *Simulator) emitFinal(idx int32, r stats.FlowRecord) {
 		s.finPending[idx] = r
 		return
 	}
-	s.col.AddFlow(r)
+	s.addRecord(r)
 	s.finNext++
 	for {
 		r2, ok := s.finPending[s.finNext]
@@ -614,7 +621,7 @@ func (s *Simulator) emitFinal(idx int32, r stats.FlowRecord) {
 			return
 		}
 		delete(s.finPending, s.finNext)
-		s.col.AddFlow(r2)
+		s.addRecord(r2)
 		s.finNext++
 	}
 }

@@ -865,11 +865,12 @@ func (s *Simulator) Finish() *stats.Collector {
 		if r, ok := s.finPending[int32(idx)]; ok {
 			// Finalized early but held for ID order: emit as recorded.
 			delete(s.finPending, int32(idx))
-			s.col.AddFlow(r)
+			s.addRecord(r)
 			continue
 		}
 		s.record(s.flows[idx], sims)
 	}
+	s.col.EventsRun = s.EventsDispatched()
 	return s.col
 }
 
