@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench perfbench bench-baseline bench-compare scaling-gate fuzz-smoke service-smoke lint ci api api-check
+.PHONY: all build test race bench perfbench bench-baseline bench-compare scaling-gate fuzz-smoke service-smoke lint ci api api-check size
 
 all: build
 
@@ -82,6 +82,14 @@ api:
 # Fail if any committed surface golden is stale (the CI lint job's check).
 api-check:
 	$(GO) run ./cmd/horseapi -check -out api
+
+# The three code-size numbers tracked per change: non-test Go lines
+# (perfbench/ and hidden build directories excluded), public API golden
+# lines across api/*.txt, and the number of With* options.
+size:
+	@echo "go-lines   $$(find . \( -path ./perfbench -o -path './.*' \) -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "api-lines  $$(cat api/*.txt | wc -l)"
+	@echo "with-opts  $$(grep -c '^func With' api/horse.txt)"
 
 # golangci-lint (the CI lint job) when installed; vet+gofmt otherwise.
 lint: api-check

@@ -649,6 +649,8 @@ const (
 )
 
 // Event-queue backend names on the wire (OptionsSpec.EventQueue).
+// EventQueueCalendar and EventQueueAuto name retired backends; a spec
+// that uses them runs on the wheel.
 const (
 	EventQueueHeap     = "heap"
 	EventQueueCalendar = "calendar"
@@ -705,14 +707,16 @@ type OptionsSpec struct {
 	RateEpsilon *float64 `json:"rate_epsilon,omitempty"`
 	// FullRecompute disables incremental fair-share solving.
 	FullRecompute bool `json:"full_recompute,omitempty"`
-	// CalendarQueue selects the calendar event queue.
+	// CalendarQueue is the legacy spelling of EventQueue "calendar",
+	// which now runs on the timing wheel. Combining it with any other
+	// non-empty EventQueue is rejected.
 	//
-	// Deprecated: set EventQueue to "calendar" instead. A non-empty
-	// EventQueue wins validation (mismatched combinations are rejected).
+	// Deprecated: set EventQueue instead.
 	CalendarQueue bool `json:"calendar_queue,omitempty"`
 	// EventQueue selects the kernel's event-queue backend: "" (default
-	// heap) | "heap" | "calendar" | "wheel" | "auto". Results are
-	// byte-identical across backends; only run time differs.
+	// heap) | "heap" | "wheel". The retired names "calendar" and "auto"
+	// stay accepted and run on the wheel. Results are byte-identical
+	// across backends; only run time differs.
 	EventQueue string `json:"event_queue,omitempty"`
 	// Shards enables multi-core execution.
 	Shards int `json:"shards,omitempty"`

@@ -189,9 +189,7 @@ func BenchmarkE9Sharded(b *testing.B) {
 // re-arms completion timers, and cancellation keeps the queue population
 // at live flows instead of accumulating gen-stamped corpses.
 func BenchmarkMillionFlowRecordSink(b *testing.B) {
-	backends := []horse.EventQueue{
-		horse.EventQueueHeap, horse.EventQueueCalendar, horse.EventQueueWheel,
-	}
+	backends := []horse.EventQueue{horse.EventQueueHeap, horse.EventQueueWheel}
 	for _, q := range backends {
 		q := q
 		b.Run(q.String(), func(b *testing.B) {

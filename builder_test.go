@@ -9,6 +9,9 @@ import (
 	"testing"
 
 	"horse"
+	"horse/internal/flowsim"
+	"horse/internal/hybrid"
+	"horse/internal/packetsim"
 )
 
 // fatTreeWorkload is the golden parity workload: a k=4 fat tree and a
@@ -47,7 +50,7 @@ func failureWorkload() (*horse.Topology, horse.Trace, *horse.Scenario) {
 func assertCollectorsEqual(t *testing.T, name string, want, got *horse.Collector) {
 	t.Helper()
 	if !reflect.DeepEqual(want.Flows(), got.Flows()) {
-		t.Errorf("%s: flow records differ (legacy %d vs builder %d)", name, len(want.Flows()), len(got.Flows()))
+		t.Errorf("%s: flow records differ (direct %d vs builder %d)", name, len(want.Flows()), len(got.Flows()))
 	}
 	if !reflect.DeepEqual(want.LinkSeries(), got.LinkSeries()) {
 		t.Errorf("%s: link series differ", name)
@@ -65,25 +68,36 @@ func assertCollectorsEqual(t *testing.T, name string, want, got *horse.Collector
 	g := counters{got.FlowsStarted, got.FlowsCompleted, got.FlowsDropped, got.FlowsLooped, got.FlowsStuck,
 		got.PacketIns, got.FlowMods, got.RateChanges, got.PathChanges, got.PacketsLost}
 	if w != g {
-		t.Errorf("%s: counters differ: legacy %+v vs builder %+v", name, w, g)
+		t.Errorf("%s: counters differ: direct %+v vs builder %+v", name, w, g)
 	}
 }
 
+// runDirect runs a directly constructed engine to until.
+func runDirect(t *testing.T, eng horse.Engine, until horse.Time) *horse.Collector {
+	t.Helper()
+	col, err := eng.Run(context.Background(), until)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return col
+}
+
 // TestBuilderLegacyParityFlow pins that a builder-constructed flow engine
-// produces byte-identical results to the legacy constructor — golden
-// fat-tree and scripted-failure scenario.
+// produces byte-identical results to the engine built straight from its
+// Config (the path the legacy constructors took) — golden fat-tree and
+// scripted-failure scenario.
 func TestBuilderLegacyParityFlow(t *testing.T) {
 	window := horse.Time(10 * horse.Second)
 
 	topoL, trL := fatTreeWorkload()
-	legacy := horse.NewSimulator(horse.Config{
+	legacy := flowsim.New(flowsim.Config{
 		Topology:   topoL,
 		Controller: horse.NewChain(&horse.ECMPLoadBalancer{}),
 		Miss:       horse.MissController,
 		StatsEvery: 10 * horse.Millisecond,
 	})
 	legacy.Load(trL)
-	colL := legacy.RunUntil(window)
+	colL := runDirect(t, legacy, window)
 
 	topoB, trB := fatTreeWorkload()
 	eng, err := horse.New(topoB,
@@ -104,7 +118,7 @@ func TestBuilderLegacyParityFlow(t *testing.T) {
 	// Scripted failure: legacy Apply+Load vs WithScenario (which applies
 	// at New, before Load — the same relative order).
 	topoL2, trL2, tlL := failureWorkload()
-	legacy2 := horse.NewSimulator(horse.Config{
+	legacy2 := flowsim.New(flowsim.Config{
 		Topology:   topoL2,
 		Controller: horse.NewChain(&horse.ProactiveMAC{}),
 		Miss:       horse.MissController,
@@ -113,7 +127,7 @@ func TestBuilderLegacyParityFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	legacy2.Load(trL2)
-	colL2 := legacy2.RunUntil(window)
+	colL2 := runDirect(t, legacy2, window)
 
 	topoB2, trB2, tlB := failureWorkload()
 	eng2, err := horse.New(topoB2,
@@ -142,12 +156,12 @@ func TestBuilderLegacyParityPacket(t *testing.T) {
 	window := horse.Time(2 * horse.Second)
 	for _, shards := range []int{1, 2} {
 		topoL, trL := fatTreeWorkload()
-		legacy := horse.NewPacketSimulator(horse.PacketConfig{
+		legacy := packetsim.New(packetsim.Config{
 			Topology: topoL, Miss: horse.MissDrop, Shards: shards,
 		})
 		horse.InstallMACRoutes(legacy.Network())
 		legacy.Load(trL)
-		colL := legacy.RunUntil(window)
+		colL := runDirect(t, legacy, window)
 
 		topoB, trB := fatTreeWorkload()
 		eng, err := horse.New(topoB,
@@ -174,17 +188,17 @@ func TestBuilderLegacyParityHybrid(t *testing.T) {
 	window := horse.Time(10 * horse.Second)
 
 	topoL, trL, tlL := failureWorkload()
-	legacy := horse.NewHybridSimulator(horse.HybridConfig{
+	legacy := hybrid.New(hybrid.Config{
 		Topology:    topoL,
 		Controller:  horse.NewChain(&horse.ProactiveMAC{}),
 		Miss:        horse.MissController,
-		PacketLevel: horse.PacketFraction(0.5),
+		PacketLevel: hybrid.Fraction(0.5),
 	})
 	if err := tlL.Apply(legacy, window); err != nil {
 		t.Fatal(err)
 	}
 	legacy.Load(trL)
-	colL := legacy.RunUntil(window)
+	colL := runDirect(t, legacy, window)
 
 	topoB, trB, tlB := failureWorkload()
 	eng, err := horse.New(topoB,

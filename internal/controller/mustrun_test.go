@@ -7,10 +7,9 @@ import (
 	"horse/internal/stats"
 )
 
-// mustRun drives an engine through the context-aware Run API — the
-// replacement for the deprecated RunUntil — under a background context.
-// Background contexts cannot cancel, so a returned error is a bug and
-// panics the test.
+// mustRun drives an engine through the context-aware Run API under a
+// background context. Background contexts cannot cancel, so a returned
+// error is a bug and panics the test.
 func mustRun(sim interface {
 	Run(context.Context, simtime.Time) (*stats.Collector, error)
 }, until simtime.Time) *stats.Collector {

@@ -3,26 +3,22 @@
 // block: every input to the topology — a flow arrival, a link failure, a
 // control-plane message delivery — is an event with a firing time.
 //
-// Three implementations are provided behind the Queue interface: a binary
-// min-heap (the default, O(log n) per operation), a calendar queue
-// (amortized O(1) when event times are spread roughly uniformly, as is the
-// case for high-churn Poisson traffic), and a hierarchical timing wheel
-// (O(1) schedule and O(1) true cancellation, built for timer-dominated
-// million-flow populations). All dequeue events in nondecreasing time
-// order and break ties by order key (Keyed) and then insertion order, so a
-// simulation run is fully deterministic for a given input sequence — and,
-// with entity-derived keys, reproducible by the sharded executor
-// regardless of how scheduling interleaves.
+// Two implementations are provided behind the Queue interface: a binary
+// min-heap (the default and the reference, O(log n) per operation) and a
+// hierarchical timing wheel (O(1) schedule and O(1) true cancellation,
+// built for timer-dominated million-flow populations). Both dequeue events
+// in nondecreasing time order and break ties by order key (Keyed) and then
+// insertion order, so a simulation run is fully deterministic for a given
+// input sequence — and, with entity-derived keys, reproducible by the
+// sharded executor regardless of how scheduling interleaves.
 //
-// Queues that additionally implement Canceler support true cancellation:
-// PushCancelable returns a Handle and Cancel removes the event before it
-// fires, instead of the generation-stamp pattern where stale timers sit in
-// the queue until they fire as no-ops. The wheel physically unlinks in
-// O(1); heap and calendar mark the entry dead and skip it on dequeue (the
-// entry is never compared through its event again, so cancelled envelopes
-// may be recycled immediately). Len always reports live events only, so
-// engine logic keyed on queue emptiness behaves identically on every
-// backend.
+// Both implement Canceler: PushCancelable returns a Handle and Cancel
+// removes the event before it fires and hands it back to the caller at
+// once. The wheel physically unlinks in O(1); the heap marks the entry
+// dead and skips it on dequeue (the entry is never compared through its
+// event again, so a cancelled envelope may be recycled immediately). Len
+// always reports live events only, so engine logic keyed on queue
+// emptiness behaves identically on either backend.
 package eventq
 
 import "horse/internal/simtime"
@@ -75,10 +71,10 @@ type Queue interface {
 	Len() int
 }
 
-// Canceler is the optional cancellation capability of a Queue. Engines
-// use it to remove dead timers (retransmission timers rearmed on every
-// ACK, flow timeouts rescheduled on every packet) instead of letting
-// generation-stamped corpses sit in the queue and fire as no-ops.
+// Canceler is a Queue with cancellation; both backends implement it.
+// Engines use it to remove dead timers (retransmission timers rearmed on
+// every ACK, flow timeouts rescheduled on every packet) instead of
+// letting generation-stamped corpses sit in the queue and fire as no-ops.
 type Canceler interface {
 	Queue
 	// PushCancelable schedules an event and returns a handle for Cancel.
@@ -100,9 +96,9 @@ type Handle struct {
 	gen uint32
 }
 
-// node is the per-event bookkeeping record behind a Handle. Heap and
-// calendar use only (ev, gen, dead) — the node marks a queue entry dead
-// so dequeue can skip it. The wheel stores events entirely in nodes:
+// node is the per-event bookkeeping record behind a Handle. The heap uses
+// only (ev, gen, dead) — the node marks a queue entry dead so dequeue can
+// skip it. The wheel stores events entirely in nodes:
 // slot chains and the overflow list link through prev/next, and `where`
 // records the node's current location so Cancel can unlink in O(1).
 // Nodes are pooled per queue; gen increments on every recycle so stale
@@ -122,7 +118,7 @@ type node struct {
 // Locations for node.where. Values below wheelLevels*wheelSlots are a
 // wheel slot index (level<<wheelBits | slot).
 const (
-	whereNone     = 0xFFFD // not tracked by location (heap/calendar/pooled)
+	whereNone     = 0xFFFD // not tracked by location (heap/pooled)
 	whereReady    = 0xFFFE // in the wheel's sorted ready run
 	whereOverflow = 0xFFFF // in the wheel's overflow list
 )
@@ -156,8 +152,8 @@ func (p *nodePool) put(n *node) {
 // insertion sequence number. Time and key are captured once at Push, so
 // the hot comparison path never calls back into the event — which also
 // means a cancelled event's envelope can be recycled while its dead entry
-// still sits in a lazy-cancel queue: the entry's ordering fields are
-// frozen and its ev pointer is never dereferenced again.
+// still sits in the heap: the entry's ordering fields are frozen and its
+// ev pointer is never dereferenced again.
 type item struct {
 	ev  Event
 	t   simtime.Time
@@ -317,58 +313,23 @@ const (
 	// BackendHeap is the binary min-heap: O(log n) per operation, the
 	// safe default for any workload.
 	BackendHeap Backend = iota
-	// BackendCalendar is the calendar queue: amortized O(1) when event
-	// times are spread roughly uniformly.
-	BackendCalendar
 	// BackendWheel is the hierarchical timing wheel: O(1) schedule and
 	// O(1) true cancellation, built for timer-dominated workloads.
 	BackendWheel
-	// BackendAuto starts on the heap and migrates once to the wheel when
-	// cancelable (timer-class) events dominate the early push mix.
-	BackendAuto
 )
 
 // String returns the wire name of the backend.
 func (b Backend) String() string {
-	switch b {
-	case BackendCalendar:
-		return "calendar"
-	case BackendWheel:
+	if b == BackendWheel {
 		return "wheel"
-	case BackendAuto:
-		return "auto"
-	default:
-		return "heap"
 	}
+	return "heap"
 }
 
-// ParseBackend maps a wire name ("heap", "calendar", "wheel", "auto") to
-// a Backend. The empty string is the default heap.
-func ParseBackend(s string) (Backend, bool) {
-	switch s {
-	case "", "heap":
-		return BackendHeap, true
-	case "calendar":
-		return BackendCalendar, true
-	case "wheel":
-		return BackendWheel, true
-	case "auto":
-		return BackendAuto, true
-	}
-	return BackendHeap, false
-}
-
-// New returns an empty queue of the selected backend. Every backend
-// implements Canceler.
-func New(b Backend) Queue {
-	switch b {
-	case BackendCalendar:
-		return NewCalendar()
-	case BackendWheel:
+// New returns an empty queue of the selected backend.
+func New(b Backend) Canceler {
+	if b == BackendWheel {
 		return NewWheel()
-	case BackendAuto:
-		return NewAdaptive()
-	default:
-		return NewHeap()
 	}
+	return NewHeap()
 }

@@ -28,9 +28,7 @@ func cancelers() []struct {
 		mk   func() Canceler
 	}{
 		{"heap", func() Canceler { return NewHeap() }},
-		{"calendar", func() Canceler { return NewCalendar() }},
 		{"wheel", func() Canceler { return NewWheel() }},
-		{"auto", func() Canceler { return NewAdaptive() }},
 	}
 }
 
@@ -174,8 +172,7 @@ func compareScripts(t *testing.T, ops []qop) {
 // (time, key, cancel) workloads and requires transcript-identical
 // behavior: same pop sequence, same Len after every op, same cancel
 // outcomes. Time offsets span every wheel level and the overflow list.
-// Offsets are never negative: the calendar queue assumes pushes at or
-// after the dequeue cursor (as every engine guarantees); past-time
+// Offsets are never negative, as every engine guarantees; past-time
 // inserts are covered by the heap-oracle fuzz target instead.
 func TestCrossBackendCancelProperty(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
@@ -354,8 +351,8 @@ func TestWheelScheduleCancelAllocFree(t *testing.T) {
 //   - ScheduleHeavy: the hold model — pop one, schedule one — measuring
 //     pure ordering cost as the population grows.
 //   - CancelHeavy: the RTO/idle-timeout pattern — every op cancels a live
-//     timer and rearms it, with a pop every few ops. Lazy-cancel backends
-//     pay corpse traffic here; the wheel unlinks in O(1).
+//     timer and rearms it, with a pop every few ops. The lazy-cancel heap
+//     pays corpse traffic here; the wheel unlinks in O(1).
 //   - MixedHorizon: bimodal horizons (µs-scale data events + second-scale
 //     timers, a third of which cancel) spanning several wheel levels.
 
@@ -368,7 +365,6 @@ func benchBackends() []struct {
 		mk   func() Canceler
 	}{
 		{"heap", func() Canceler { return NewHeap() }},
-		{"calendar", func() Canceler { return NewCalendar() }},
 		{"wheel", func() Canceler { return NewWheel() }},
 	}
 }
@@ -427,7 +423,7 @@ func BenchmarkEventQueueCancelHeavy(b *testing.B) {
 					handles[j] = q.PushCancelable(evs[j])
 					if i%4 == 3 {
 						// A timer fires: pop it and rearm so the population
-						// holds and lazy backends get to shed corpses.
+						// holds and the heap gets to shed corpses.
 						ev := q.Pop().(*testEvent)
 						clock = ev.t
 						ev.t = clock.Add(rto + simtime.Duration(rng.Int63n(int64(simtime.Millisecond))))

@@ -689,7 +689,6 @@ func e6Spec(o Options) *spec {
 		full  bool
 	}{
 		{"heap+incremental", horse.EventQueueHeap, false},
-		{"calendar+incremental", horse.EventQueueCalendar, false},
 		{"wheel+incremental", horse.EventQueueWheel, false},
 		{"heap+full-recompute", horse.EventQueueHeap, true},
 	}

@@ -173,13 +173,8 @@ type Config struct {
 	StatsEvery simtime.Duration
 	// FullRecompute disables incremental fair-share solving (E6 ablation).
 	FullRecompute bool
-	// UseCalendarQueue selects the calendar event queue (E6 ablation).
-	//
-	// Deprecated: set EventQueue to eventq.BackendCalendar instead. A
-	// non-default EventQueue wins when both are set.
-	UseCalendarQueue bool
-	// EventQueue selects the kernel's event-queue backend (heap, calendar,
-	// timing wheel, or auto). Ignored when Kernel is set.
+	// EventQueue selects the kernel's event-queue backend (heap or
+	// timing wheel). Ignored when Kernel is set.
 	EventQueue eventq.Backend
 	// RateEpsilon is the relative rate-change threshold below which rate
 	// changes do not reschedule events (default 1%).
@@ -468,7 +463,7 @@ func New(cfg Config) *Simulator {
 	k := cfg.Kernel
 	ownKernel := k == nil
 	if ownKernel {
-		k = simcore.New(simcore.Config{Backend: cfg.EventQueue, UseCalendarQueue: cfg.UseCalendarQueue})
+		k = simcore.New(simcore.Config{Backend: cfg.EventQueue})
 	}
 	net := cfg.Network
 	if net == nil {
@@ -669,14 +664,6 @@ func (s *Simulator) Run(ctx context.Context, until simtime.Time) (*stats.Collect
 		err = s.readerErr
 	}
 	return col, err
-}
-
-// RunUntil is Run without a lifecycle: no cancellation, no error.
-//
-// Deprecated: use Run with a context.
-func (s *Simulator) RunUntil(until simtime.Time) *stats.Collector {
-	col, _ := s.Run(context.Background(), until)
-	return col
 }
 
 // Observe registers an observer of applied network dynamics (link and

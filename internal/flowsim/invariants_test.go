@@ -2,11 +2,13 @@ package flowsim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
 	"horse/internal/addr"
 	"horse/internal/dataplane"
+	"horse/internal/eventq"
 	"horse/internal/header"
 	"horse/internal/netgraph"
 	"horse/internal/openflow"
@@ -26,12 +28,12 @@ func mkWorkload(seed int64) (*netgraph.Topology, traffic.Trace) {
 	return topo, tr
 }
 
-func runVariant(t *testing.T, full, calendar bool) *stats.Collector {
+func runVariant(t *testing.T, full bool, queue eventq.Backend) *stats.Collector {
 	t.Helper()
 	topo, tr := mkWorkload(123)
 	sim := New(Config{
 		Topology: topo, Controller: proactiveMAC{}, Miss: dataplane.MissController,
-		FullRecompute: full, UseCalendarQueue: calendar,
+		FullRecompute: full, EventQueue: queue,
 	})
 	sim.Load(tr)
 	return mustRun(sim, simtime.Time(simtime.Minute))
@@ -40,17 +42,25 @@ func runVariant(t *testing.T, full, calendar bool) *stats.Collector {
 // TestRecomputeStrategiesAgree verifies the central E6 correctness claim:
 // full and incremental fair-share solving produce identical simulations.
 func TestRecomputeStrategiesAgree(t *testing.T) {
-	a := runVariant(t, false, false)
-	b := runVariant(t, true, false)
+	a := runVariant(t, false, eventq.BackendHeap)
+	b := runVariant(t, true, eventq.BackendHeap)
 	compareRuns(t, a, b, "incremental", "full-recompute")
 }
 
-// TestQueueImplementationsAgree verifies heap and calendar queues produce
-// identical simulations.
+// TestQueueImplementationsAgree verifies the heap and the timing wheel
+// produce identical simulations: backends differ only in cost, so the
+// records must match exactly, not just within the recompute tolerance.
 func TestQueueImplementationsAgree(t *testing.T) {
-	a := runVariant(t, false, false)
-	b := runVariant(t, false, true)
-	compareRuns(t, a, b, "heap", "calendar")
+	a := runVariant(t, false, eventq.BackendHeap)
+	b := runVariant(t, false, eventq.BackendWheel)
+	compareRuns(t, a, b, "heap", "wheel")
+	if !reflect.DeepEqual(a.Flows(), b.Flows()) {
+		t.Fatal("heap and wheel records are not byte-identical")
+	}
+	if a.EventsRun != b.EventsRun || a.RateChanges != b.RateChanges {
+		t.Fatalf("heap ran %d events / %d rate changes, wheel %d / %d",
+			a.EventsRun, a.RateChanges, b.EventsRun, b.RateChanges)
+	}
 }
 
 func compareRuns(t *testing.T, a, b *stats.Collector, an, bn string) {

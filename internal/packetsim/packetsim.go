@@ -95,15 +95,9 @@ type Config struct {
 	Controller flowsim.Controller
 	// ControlLatency delays every switch↔controller message (default 1ms).
 	ControlLatency simtime.Duration
-	// UseCalendarQueue selects the calendar event queue (shared-kernel
-	// ablation switch; ignored when Kernel is supplied).
-	//
-	// Deprecated: set EventQueue to eventq.BackendCalendar instead. A
-	// non-default EventQueue wins when both are set.
-	UseCalendarQueue bool
-	// EventQueue selects the event-queue backend (heap, calendar, timing
-	// wheel, or auto) for the engine's kernel and, in sharded runs, every
-	// per-shard kernel. Ignored when Kernel is supplied.
+	// EventQueue selects the event-queue backend (heap or timing wheel)
+	// for the engine's kernel and, in sharded runs, every per-shard
+	// kernel. Ignored when Kernel is supplied.
 	EventQueue eventq.Backend
 
 	// Shards > 1 runs the engine on the sharded multi-core executor:
@@ -502,7 +496,7 @@ func New(cfg Config) *Simulator {
 	k := cfg.Kernel
 	ownKernel := k == nil
 	if ownKernel {
-		k = simcore.New(simcore.Config{Backend: cfg.EventQueue, UseCalendarQueue: cfg.UseCalendarQueue})
+		k = simcore.New(simcore.Config{Backend: cfg.EventQueue})
 	}
 	net := cfg.Network
 	if net == nil {
@@ -764,14 +758,6 @@ func (s *Simulator) Run(ctx context.Context, until simtime.Time) (*stats.Collect
 		err = s.readerErr
 	}
 	return col, err
-}
-
-// RunUntil is Run without a lifecycle: no cancellation, no error.
-//
-// Deprecated: use Run with a context.
-func (s *Simulator) RunUntil(until simtime.Time) *stats.Collector {
-	col, _ := s.Run(context.Background(), until)
-	return col
 }
 
 // Observe registers an observer of applied network dynamics (link and

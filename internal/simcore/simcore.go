@@ -32,11 +32,12 @@ import (
 )
 
 // Event is a schedulable kernel event. Fire executes it; Release returns
-// it to its owner's pool after dispatch. Events typically carry generation
-// stamps (compared against owner state in Fire) so that stale, logically
-// cancelled events are cheap no-ops — the pattern that makes pooling safe:
-// a recycled envelope can never be confused with its former identity,
-// because the generation it carried is dead.
+// it to its owner's pool, exactly once: after Fire, or when Cancel removes
+// it before it fires (a cancelled event never fires). To retract a single
+// event, schedule it with ScheduleCancelable and Cancel its Timer. Events
+// invalidated in bulk (every in-flight event of a link whose epoch moved)
+// instead carry generation stamps that Fire compares against owner state,
+// so the stale ones fire as cheap no-ops.
 type Event interface {
 	eventq.Event
 	// Fire executes the event at its firing time.
@@ -50,15 +51,6 @@ type Event interface {
 type Config struct {
 	// Backend selects the event-queue implementation (heap by default).
 	Backend eventq.Backend
-	// UseCalendarQueue selects the calendar event queue instead of the
-	// binary heap (the original E6 ablation switch).
-	//
-	// Deprecated: set Backend to eventq.BackendCalendar. A non-default
-	// Backend wins when both are set.
-	UseCalendarQueue bool
-	// Queue, if non-nil, is used directly and overrides Backend and
-	// UseCalendarQueue.
-	Queue eventq.Queue
 }
 
 // hook is one pre-advance hook: pending reports whether deferred work
@@ -72,28 +64,14 @@ type hook struct {
 // Kernel is the simulation core: virtual clock + event queue + dispatch
 // loop. Zero value is not usable; call New.
 type Kernel struct {
-	q          eventq.Queue
-	qc         eventq.Canceler // non-nil when q supports true cancellation
+	q          eventq.Canceler
 	now        simtime.Time
 	hooks      []hook
 	dispatched uint64
-	envPool    Pool[cancelEnv]
 }
 
 // New builds a kernel over the configured queue.
-func New(cfg Config) *Kernel {
-	q := cfg.Queue
-	if q == nil {
-		b := cfg.Backend
-		if b == eventq.BackendHeap && cfg.UseCalendarQueue {
-			b = eventq.BackendCalendar
-		}
-		q = eventq.New(b)
-	}
-	k := &Kernel{q: q}
-	k.qc, _ = q.(eventq.Canceler)
-	return k
-}
+func New(cfg Config) *Kernel { return &Kernel{q: eventq.New(cfg.Backend)} }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() simtime.Time { return k.now }
@@ -165,90 +143,27 @@ func (k *Kernel) Extract(match func(Event) bool) []Event {
 // Timer is a handle on one cancelable scheduled event. The zero Timer is
 // valid and cancels as a no-op; handles go stale once the event fires or
 // is cancelled, so engines may keep a Timer per flow/switch and Cancel it
-// unconditionally. Timers are value types and allocate nothing on the
-// true-cancellation path (queue nodes and fallback envelopes are pooled).
-type Timer struct {
-	h    eventq.Handle
-	env  *cancelEnv
-	egen uint32
-}
+// unconditionally. Timers are value types and allocate nothing (queue
+// nodes are pooled).
+type Timer struct{ h eventq.Handle }
 
 // ScheduleCancelable queues an event and returns a Timer that can remove
-// it before it fires. On a Canceler-capable queue (every built-in
-// backend) cancellation truly removes the event — on the wheel in O(1),
-// on heap/calendar by marking the entry dead without ever touching the
-// event again — so the engine can recycle the envelope immediately. On an
-// externally supplied non-Canceler queue the event is wrapped in a pooled
-// envelope that no-ops when cancelled, preserving exact scheduling
-// semantics at the cost of a corpse dispatch.
+// it before it fires — on the wheel in O(1), on the heap by marking the
+// entry dead without ever touching the event again.
 func (k *Kernel) ScheduleCancelable(ev Event) Timer {
-	if k.qc != nil {
-		return Timer{h: k.qc.PushCancelable(ev)}
-	}
-	env := k.envPool.Get()
-	env.inner = ev
-	env.k = k
-	env.dead = false
-	k.q.Push(env)
-	return Timer{env: env, egen: env.gen}
+	return Timer{h: k.q.PushCancelable(ev)}
 }
 
 // Cancel removes a cancelable scheduled event. It returns true when the
-// event was still pending (its envelope has been released); a zero or
-// stale Timer — the event already fired or was already cancelled — is a
-// safe no-op returning false.
+// event was still pending; the event has then been released and will
+// never fire. A zero or stale Timer — the event already fired or was
+// already cancelled — is a safe no-op returning false.
 func (k *Kernel) Cancel(t Timer) bool {
-	if t.env != nil {
-		if t.env.gen != t.egen || t.env.dead || t.env.inner == nil {
-			return false
-		}
-		t.env.dead = true
-		return true
+	ev, ok := k.q.Cancel(t.h)
+	if ok {
+		ev.(Event).Release()
 	}
-	if k.qc == nil {
-		return false
-	}
-	ev, ok := k.qc.Cancel(t.h)
-	if !ok {
-		return false
-	}
-	ev.(Event).Release()
-	return true
-}
-
-// cancelEnv wraps a cancelable event for queues without native
-// cancellation: Fire/Release forward to the inner event unless the timer
-// was cancelled, in which case the corpse fires as a no-op and releases
-// the inner envelope only when it finally pops (the queue may still read
-// its Time, so the envelope cannot be recycled earlier).
-type cancelEnv struct {
-	inner Event
-	k     *Kernel
-	gen   uint32 // bumped on recycle so stale Timers cancel as no-ops
-	dead  bool
-}
-
-func (c *cancelEnv) Time() simtime.Time { return c.inner.Time() }
-
-func (c *cancelEnv) OrderKey() uint64 {
-	if kd, ok := c.inner.(eventq.Keyed); ok {
-		return kd.OrderKey()
-	}
-	return eventq.DefaultOrderKey
-}
-
-func (c *cancelEnv) Fire() {
-	if !c.dead {
-		c.inner.Fire()
-	}
-}
-
-func (c *cancelEnv) Release() {
-	inner, k := c.inner, c.k
-	c.inner, c.k, c.dead = nil, nil, false
-	c.gen++
-	inner.Release()
-	k.envPool.Put(c)
+	return ok
 }
 
 // AddPreAdvance registers a pre-advance hook. Hooks run — in registration

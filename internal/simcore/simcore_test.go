@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"horse/internal/eventq"
 	"horse/internal/simtime"
 )
 
@@ -26,9 +27,13 @@ func (e *testEvent) Release() {
 	}
 }
 
+// backends lists the event-queue implementations every kernel test runs
+// over; the heap is the reference.
+var backends = []eventq.Backend{eventq.BackendHeap, eventq.BackendWheel}
+
 func TestRunDispatchOrder(t *testing.T) {
-	for _, calendar := range []bool{false, true} {
-		k := New(Config{UseCalendarQueue: calendar})
+	for _, b := range backends {
+		k := New(Config{Backend: b})
 		var got []int
 		times := []simtime.Time{30, 10, 20, 10, 0}
 		for i, at := range times {
@@ -39,11 +44,95 @@ func TestRunDispatchOrder(t *testing.T) {
 		want := []int{4, 1, 3, 2, 0} // time order, FIFO ties
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("calendar=%v: dispatch order %v, want %v", calendar, got, want)
+				t.Fatalf("%v: dispatch order %v, want %v", b, got, want)
 			}
 		}
 		if k.Dispatched() != uint64(len(times)) {
-			t.Errorf("Dispatched = %d, want %d", k.Dispatched(), len(times))
+			t.Errorf("%v: Dispatched = %d, want %d", b, k.Dispatched(), len(times))
+		}
+	}
+}
+
+// countedEvent counts its own dispatches and releases.
+type countedEvent struct {
+	at              simtime.Time
+	fired, released int
+	onFire          func()
+}
+
+func (e *countedEvent) Time() simtime.Time { return e.at }
+func (e *countedEvent) Release()           { e.released++ }
+func (e *countedEvent) Fire() {
+	e.fired++
+	if e.onFire != nil {
+		e.onFire()
+	}
+}
+
+// TestTimerCancel pins the kernel's one cancellation path on every
+// backend: a cancelled event never fires and is released exactly once,
+// at Cancel; Cancel on a zero, fired or already-cancelled Timer returns
+// false and touches nothing; Len counts live events only.
+func TestTimerCancel(t *testing.T) {
+	for _, b := range backends {
+		k := New(Config{Backend: b})
+		head := &countedEvent{at: 10}
+		mid := &countedEvent{at: 20}
+		tail := &countedEvent{at: 30}
+		plain := &countedEvent{at: 15}
+		tHead := k.ScheduleCancelable(head)
+		tMid := k.ScheduleCancelable(mid)
+		tTail := k.ScheduleCancelable(tail)
+		k.Schedule(plain)
+		// The plain event cancels the tail from inside Fire, the way an
+		// ACK retracts a retransmission timer mid-run.
+		plain.onFire = func() {
+			if !k.Cancel(tTail) {
+				t.Errorf("%v: Cancel of a pending timer from Fire returned false", b)
+			}
+		}
+		if k.Len() != 4 {
+			t.Fatalf("%v: Len = %d, want 4", b, k.Len())
+		}
+		if k.Cancel(Timer{}) {
+			t.Errorf("%v: Cancel(zero Timer) = true", b)
+		}
+		if !k.Cancel(tMid) {
+			t.Fatalf("%v: Cancel of a pending timer returned false", b)
+		}
+		if mid.released != 1 {
+			t.Fatalf("%v: cancelled event released %d times at Cancel, want 1", b, mid.released)
+		}
+		if k.Cancel(tMid) {
+			t.Errorf("%v: second Cancel of the same timer = true", b)
+		}
+		if k.Len() != 3 {
+			t.Fatalf("%v: Len after Cancel = %d, want 3 (live events only)", b, k.Len())
+		}
+		k.Run(simtime.Never)
+		if k.Cancel(tHead) {
+			t.Errorf("%v: Cancel of a fired timer = true", b)
+		}
+		if k.Cancel(tTail) {
+			t.Errorf("%v: Cancel of a timer cancelled mid-run = true", b)
+		}
+		for _, c := range []struct {
+			name           string
+			e              *countedEvent
+			fired, release int
+		}{
+			{"head", head, 1, 1},
+			{"plain", plain, 1, 1},
+			{"mid (cancelled)", mid, 0, 1},
+			{"tail (cancelled mid-run)", tail, 0, 1},
+		} {
+			if c.e.fired != c.fired || c.e.released != c.release {
+				t.Errorf("%v: %s fired %d / released %d times, want %d / %d",
+					b, c.name, c.e.fired, c.e.released, c.fired, c.release)
+			}
+		}
+		if k.Dispatched() != 2 || k.Len() != 0 {
+			t.Errorf("%v: Dispatched = %d, Len = %d; want 2 and 0", b, k.Dispatched(), k.Len())
 		}
 	}
 }

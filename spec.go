@@ -96,20 +96,25 @@ func SpecOptions(o wire.OptionsSpec) ([]Option, error) {
 	if o.FullRecompute {
 		opts = append(opts, WithFullRecompute())
 	}
+	queue := o.EventQueue
 	if o.CalendarQueue {
-		opts = append(opts, WithCalendarQueue())
+		// The legacy flag means event_queue "calendar"; any other
+		// explicit choice contradicts it.
+		if queue != "" && queue != wire.EventQueueCalendar {
+			return nil, &BuildError{Option: "WithEventQueue", Reason: fmt.Sprintf("conflicts with calendar_queue (which means event_queue %q, not %q); drop one", wire.EventQueueCalendar, queue)}
+		}
+		queue = wire.EventQueueCalendar
 	}
-	switch o.EventQueue {
+	switch queue {
 	case "":
 		// The default (heap) — no option.
 	case wire.EventQueueHeap:
 		opts = append(opts, WithEventQueue(EventQueueHeap))
-	case wire.EventQueueCalendar:
-		opts = append(opts, WithEventQueue(EventQueueCalendar))
-	case wire.EventQueueWheel:
+	case wire.EventQueueWheel, wire.EventQueueCalendar, wire.EventQueueAuto:
+		// "calendar" and "auto" name retired backends that the frozen v1
+		// wire still accepts. Backends never change results, so both run
+		// on the wheel.
 		opts = append(opts, WithEventQueue(EventQueueWheel))
-	case wire.EventQueueAuto:
-		opts = append(opts, WithEventQueue(EventQueueAuto))
 	default:
 		return nil, &BuildError{Option: "WithEventQueue", Reason: fmt.Sprintf("unknown event queue %q", o.EventQueue)}
 	}

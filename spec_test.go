@@ -1,9 +1,11 @@
 package horse_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"horse"
@@ -245,5 +247,72 @@ func TestSpecOptionsDefaults(t *testing.T) {
 	// default-built engine (flow fidelity).
 	if _, err := eng.Run(context.Background(), until); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSpecLegacyEventQueueNames pins the frozen horse-wire/v1 names of
+// the retired calendar and auto backends: event_queue "calendar" and
+// "auto" and calendar_queue true must still build, and (running on the
+// wheel) produce flow records and link series byte-identical to
+// event_queue "heap". calendar_queue combined with another explicit
+// backend stays a *BuildError.
+func TestSpecLegacyEventQueueNames(t *testing.T) {
+	render := func(t *testing.T, fidelity string, mut func(*wire.OptionsSpec)) string {
+		t.Helper()
+		spec := specFixture()
+		spec.Options.Fidelity = fidelity
+		mut(&spec.Options)
+		eng, until, err := horse.NewFromSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col, err := eng.Run(context.Background(), until)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := col.WriteFlowsCSV(&out); err != nil {
+			t.Fatal(err)
+		}
+		if err := col.WriteLinkSeriesCSV(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	legacy := []struct {
+		name string
+		mut  func(*wire.OptionsSpec)
+	}{
+		{"event_queue=calendar", func(o *wire.OptionsSpec) { o.EventQueue = wire.EventQueueCalendar }},
+		{"event_queue=auto", func(o *wire.OptionsSpec) { o.EventQueue = wire.EventQueueAuto }},
+		{"calendar_queue", func(o *wire.OptionsSpec) { o.CalendarQueue = true }},
+		{"calendar_queue+event_queue=calendar", func(o *wire.OptionsSpec) {
+			o.CalendarQueue = true
+			o.EventQueue = wire.EventQueueCalendar
+		}},
+	}
+	for _, fid := range []string{wire.FidelityFlow, wire.FidelityPacket} {
+		heap := render(t, fid, func(o *wire.OptionsSpec) { o.EventQueue = wire.EventQueueHeap })
+		if strings.Count(heap, "\n") < 3 {
+			t.Fatalf("%s: heap run produced no records", fid)
+		}
+		for _, c := range legacy {
+			t.Run(fid+"/"+c.name, func(t *testing.T) {
+				if got := render(t, fid, c.mut); got != heap {
+					t.Fatal("records differ from the event_queue=heap run")
+				}
+			})
+		}
+	}
+
+	for _, q := range []string{wire.EventQueueHeap, wire.EventQueueWheel, wire.EventQueueAuto} {
+		spec := specFixture()
+		spec.Options.CalendarQueue = true
+		spec.Options.EventQueue = q
+		_, _, err := horse.NewFromSpec(spec)
+		var berr *horse.BuildError
+		if !errors.As(err, &berr) {
+			t.Errorf("calendar_queue with event_queue=%s: error %v, want a *BuildError", q, err)
+		}
 	}
 }
