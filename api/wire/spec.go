@@ -659,6 +659,7 @@ const (
 )
 
 // Shard-balancing mode names on the wire (OptionsSpec.ShardBalancing).
+// All three run the uniform partition; the names stay for v1 decoding.
 const (
 	BalanceUniform  = "uniform"
 	BalanceWeighted = "weighted"
@@ -722,9 +723,9 @@ type OptionsSpec struct {
 	Shards int `json:"shards,omitempty"`
 	// ShardWorkers bounds the shard worker pool (packet engine).
 	ShardWorkers *int `json:"shard_workers,omitempty"`
-	// ShardBalancing selects the sharded packet engine's load balancing:
-	// "" (default uniform) | "uniform" | "weighted" | "steal". Results are
-	// byte-identical across modes; only wall-clock time differs.
+	// ShardBalancing is a legacy field: "" | "uniform" | "weighted" |
+	// "steal" are accepted (with shards, Packet fidelity only) and all
+	// run on the uniform edge-cut partition, the engine's only placement.
 	ShardBalancing string `json:"shard_balancing,omitempty"`
 	// QueuePackets sets the drop-tail queue capacity (pointer so 0 is
 	// expressible).

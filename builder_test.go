@@ -582,9 +582,6 @@ func TestBuildErrors(t *testing.T) {
 		{"full recompute on packet", []horse.Option{horse.WithFidelity(horse.Packet), horse.WithFullRecompute()}},
 		{"queue on flow", []horse.Option{horse.WithQueuePackets(10)}},
 		{"scenario with unknown link", []horse.Option{horse.WithScenario(horse.NewScenario().LinkDown(0, 99))}},
-		{"balancing out of range", []horse.Option{horse.WithFidelity(horse.Packet), horse.WithShards(2), horse.WithShardBalancing(horse.ShardBalancing(9))}},
-		{"balancing on flow", []horse.Option{horse.WithShardBalancing(horse.BalanceWeighted)}},
-		{"balancing without shards", []horse.Option{horse.WithFidelity(horse.Packet), horse.WithShardBalancing(horse.BalanceSteal)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

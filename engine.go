@@ -175,7 +175,6 @@ func New(topo *Topology, opts ...Option) (Engine, error) {
 			EventQueue:     eventq.Backend(o.eventQueue),
 			Shards:         o.shards,
 			ShardWorkers:   o.shardWorkers,
-			Balance:        packetsim.BalanceMode(o.balance),
 			Links:          links,
 		})
 	case Hybrid:

@@ -317,11 +317,6 @@ type (
 	Kernel = simcore.Kernel
 )
 
-// PacketFraction flags ~p of the demand stream for packet-level
-// simulation (spread evenly over load order): the selector
-// WithPacketFraction installs, for use with WithPacketSelector.
-func PacketFraction(p float64) func(i int, d traffic.Demand) bool { return hybrid.Fraction(p) }
-
 // Scenario engine: scripted failures and dynamics across all engines.
 type (
 	// Scenario is a deterministic timeline of network events (link and

@@ -197,36 +197,36 @@ func TestE8Shape(t *testing.T) {
 }
 
 // TestE9Shape pins the scaling table's structure: the fat-tree cell
-// sweeps queue backends at uniform balance, the skewed-star cell sweeps
-// balancing modes, and every arm holds byte-parity with its serial
+// sweeps queue backends, the skewed-star cell sweeps shard counts under
+// the uniform partition, and every arm holds byte-parity with its serial
 // reference.
 func TestE9Shape(t *testing.T) {
 	tb := E9ShardScaling([]int{4}, []int{1, 4})
-	// fat-tree: 2 queues × 2 shard counts; skewed star: uniform × {1,4}
-	// plus weighted and steal at 4 shards only.
-	if len(tb.Rows) != 4+4 {
-		t.Fatalf("rows = %d, want 8", len(tb.Rows))
+	// fat-tree: 2 queues × 2 shard counts; skewed star: heap × {1,4}.
+	if len(tb.Rows) != 4+2 {
+		t.Fatalf("rows = %d, want 6", len(tb.Rows))
+	}
+	if colIndex(tb, "balance") >= 0 {
+		t.Error("E9 still has a balance column")
 	}
 	topo := colIndex(tb, "topo")
-	balance := colIndex(tb, "balance")
+	shards := colIndex(tb, "shards")
 	parity := colIndex(tb, "parity")
 	ev := colIndex(tb, "events")
-	seen := map[string]bool{}
+	var star []string
 	for i, row := range tb.Rows {
 		if row[parity] != "identical" {
-			t.Errorf("row %d (%s/%s) parity = %q", i, row[topo], row[balance], row[parity])
+			t.Errorf("row %d (%s/%s shards) parity = %q", i, row[topo], row[shards], row[parity])
 		}
 		if cell(t, tb, i, ev) == 0 {
 			t.Errorf("row %d ran no events", i)
 		}
 		if row[topo] == "star-of-trees" {
-			seen[row[balance]] = true
+			star = append(star, row[shards])
 		}
 	}
-	for _, b := range []string{"uniform", "weighted", "steal"} {
-		if !seen[b] {
-			t.Errorf("skewed-star cell missing a %q arm", b)
-		}
+	if fmt.Sprint(star) != "[1 4]" {
+		t.Errorf("skewed-star shard arms = %v, want [1 4]", star)
 	}
 }
 
@@ -234,14 +234,14 @@ func TestE9Shape(t *testing.T) {
 // lossy arms corrupt frames and retransmit at packet level, the fluid
 // engine folds loss into FCT inflation without per-frame drops, the
 // adaptive-rate model degrades with zero corruption — and every
-// shard/backend/balancing arm holds byte-parity with its serial heap
+// shard/backend arm holds byte-parity with its serial heap
 // reference, models enabled.
 func TestE10Shape(t *testing.T) {
 	tb := runSpecs(Options{}, []*spec{e10Spec(Options{}, e10QuickModels(), []int{1, 4})})[0]
-	// Per model: flow {1,4} + packet {1,4}×{heap,wheel}+steal + hybrid
-	// {heap,wheel} = 9 rows; the quick grid has two models.
-	if len(tb.Rows) != 18 {
-		t.Fatalf("rows = %d, want 18", len(tb.Rows))
+	// Per model: flow {1,4} + packet {1,4}×{heap,wheel} + hybrid
+	// {heap,wheel} = 8 rows; the quick grid has two models.
+	if len(tb.Rows) != 16 {
+		t.Fatalf("rows = %d, want 16", len(tb.Rows))
 	}
 	model := colIndex(tb, "model")
 	fid := colIndex(tb, "fidelity")

@@ -54,9 +54,8 @@ type Model interface {
 // State is the mutable per-link-direction model state: the corruption
 // RNG stream and the burst-model channel state. It belongs to exactly
 // one link direction and, in sharded runs, is written only by that
-// direction's owning shard — it migrates with the direction's entity
-// group under work stealing because the Set's backing array is shared
-// by every clone.
+// direction's owning shard; the Set's backing array is shared by every
+// clone, so no copy ever has to be kept in step.
 type State struct {
 	seed uint64 // immutable per-direction identity
 	rng  uint64 // frame-level draw stream position

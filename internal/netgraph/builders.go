@@ -127,8 +127,7 @@ func FatTree(k int, link LinkSpec) *Topology {
 // the hub is "hub". The fabric is deliberately partition-hostile: a
 // uniform edge-cut split puts one tree per part and looks balanced by
 // switch count, but a workload concentrated on one tree makes that tree's
-// shard the wall-clock bottleneck — the scenario weighted partitioning
-// and window-barrier work stealing exist to fix.
+// shard the wall-clock bottleneck (E9's skewed-star cell).
 func StarOfFatTrees(n, k int, link LinkSpec) *Topology {
 	if n < 1 {
 		panic("netgraph: star-of-fat-trees needs at least 1 tree")

@@ -24,19 +24,6 @@ import (
 // Disconnected leftovers are assigned round-robin to the smallest parts.
 // k <= 1, or k >= the switch count, degenerate to the obvious answers.
 func (t *Topology) PartitionK(k int) []int32 {
-	return t.PartitionWeightedK(k, nil)
-}
-
-// PartitionWeightedK is PartitionK with a per-node load weight: parts are
-// balanced by total switch weight instead of switch count, so an
-// event-rate-skewed workload (weights derived from offered traffic) yields
-// parts with even expected event load rather than even switch counts. The
-// weights slice is indexed by NodeID; only switch entries are read, and a
-// non-positive weight counts as 1 (a switch is never free to own). A nil
-// weights slice reproduces PartitionK exactly. Seeding, contiguous BFS
-// growth, and all tie-breaks are identical to PartitionK, so the result is
-// deterministic for a given (topology, weights) pair.
-func (t *Topology) PartitionWeightedK(k int, weights []float64) []int32 {
 	parts := make([]int32, len(t.nodes))
 	switches := t.Switches()
 	if k > len(switches) {
@@ -47,16 +34,6 @@ func (t *Topology) PartitionWeightedK(k int, weights []float64) []int32 {
 			parts[i] = 0
 		}
 		return parts
-	}
-	wOf := func(n NodeID) float64 {
-		if int(n) < len(weights) && weights[n] > 0 {
-			return weights[n]
-		}
-		return 1
-	}
-	totalW := 0.0
-	for _, n := range switches {
-		totalW += wOf(n)
 	}
 	const unassigned = int32(-1)
 	for i := range parts {
@@ -110,16 +87,14 @@ func (t *Topology) PartitionWeightedK(k int, weights []float64) []int32 {
 		bfsFrom(far)
 	}
 
-	// Balanced round-robin BFS growth from the seeds. The cap is the ideal
-	// per-part share of the total weight; a part stops claiming once it
-	// reaches the cap (a single claim may overshoot it — whole switches
-	// are never split).
-	capPer := totalW / float64(k)
-	size := make([]float64, k)
+	// Balanced round-robin BFS growth from the seeds: a part stops
+	// claiming once it holds ceil(S/k) switches.
+	capPer := (len(switches) + k - 1) / k
+	size := make([]int, k)
 	frontiers := make([][]NodeID, k)
 	claim := func(n NodeID, p int) {
 		parts[n] = int32(p)
-		size[p] += wOf(n)
+		size[p]++
 		frontiers[p] = append(frontiers[p], adj[n]...)
 	}
 	for p, s := range seeds {

@@ -412,15 +412,12 @@ func (s *Simulator) handleAck(f *pktFlow, ackSeq int) {
 func (s *Simulator) armRTO(f *pktFlow) {
 	s.k.Cancel(f.rto)
 	f.rto = simcore.Timer{}
+	f.rtoGen++
 	if f.inFlight == 0 {
-		f.rtoAt = simtime.Never
-		f.rtoGen++
 		return
 	}
-	rto := s.cfg.RTOMin
-	f.rtoAt = s.k.Now().Add(rto)
-	f.rtoGen++
-	f.rto = s.schedTimer(event{at: f.rtoAt, kind: evRTO, flow: f, gen: f.rtoGen})
+	at := s.k.Now().Add(s.cfg.RTOMin)
+	f.rto = s.schedTimer(event{at: at, kind: evRTO, flow: f, gen: f.rtoGen})
 }
 
 // handleRTO retransmits from sendBase with a collapsed window. Callers

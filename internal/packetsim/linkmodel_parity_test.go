@@ -10,9 +10,8 @@ import (
 )
 
 // runGoldenDegraded runs the golden fat-tree with a link-degradation
-// model installed on every link, at the given shard count, backend, and
-// balancing mode.
-func runGoldenDegraded(m linkmodel.Model, seed uint64, shards int, q eventq.Backend, b BalanceMode) shardRunResult {
+// model installed on every link, at the given shard count and backend.
+func runGoldenDegraded(m linkmodel.Model, seed uint64, shards int, q eventq.Backend) shardRunResult {
 	topo, tr := goldenFatTree()
 	links := linkmodel.NewSet(seed, topo.NumLinks())
 	links.SetDefault(m)
@@ -20,7 +19,6 @@ func runGoldenDegraded(m linkmodel.Model, seed uint64, shards int, q eventq.Back
 		Topology: topo, Miss: dataplane.MissDrop, Shards: shards,
 		StatsEvery: 20 * simtime.Millisecond,
 		EventQueue: q,
-		Balance:    b,
 		Links:      links,
 	})
 	installMACRoutes(sim.Network())
@@ -32,7 +30,7 @@ func runGoldenDegraded(m linkmodel.Model, seed uint64, shards int, q eventq.Back
 // TestLinkModelShardParity pins the determinism contract with models
 // enabled: corruption streams are owner-shard-driven and seed-keyed, so
 // Records(), samples, and counters stay byte-identical to the serial
-// heap reference at every shard count, backend, and balancing mode.
+// heap reference at every shard count and backend.
 func TestLinkModelShardParity(t *testing.T) {
 	models := []struct {
 		name string
@@ -49,15 +47,13 @@ func TestLinkModelShardParity(t *testing.T) {
 	for _, mc := range models {
 		mc := mc
 		t.Run(mc.name, func(t *testing.T) {
-			ref := runGoldenDegraded(mc.m, 7, 0, eventq.BackendHeap, BalanceUniform)
+			ref := runGoldenDegraded(mc.m, 7, 0, eventq.BackendHeap)
 			for _, shards := range []int{2, 4} {
 				diffRuns(t, mc.name+"-heap", ref,
-					runGoldenDegraded(mc.m, 7, shards, eventq.BackendHeap, BalanceUniform), shards)
+					runGoldenDegraded(mc.m, 7, shards, eventq.BackendHeap), shards)
 				diffRuns(t, mc.name+"-wheel", ref,
-					runGoldenDegraded(mc.m, 7, shards, eventq.BackendWheel, BalanceUniform), shards)
+					runGoldenDegraded(mc.m, 7, shards, eventq.BackendWheel), shards)
 			}
-			diffRuns(t, mc.name+"-steal", ref,
-				runGoldenDegraded(mc.m, 7, 4, eventq.BackendHeap, BalanceSteal), 4)
 		})
 	}
 }
@@ -66,8 +62,8 @@ func TestLinkModelShardParity(t *testing.T) {
 // the drop pattern (same everything else) — the seed is live, not inert.
 func TestLinkModelSeedSensitivity(t *testing.T) {
 	m := linkmodel.BernoulliLoss{P: 0.03}
-	a := runGoldenDegraded(m, 7, 0, eventq.BackendHeap, BalanceUniform)
-	b := runGoldenDegraded(m, 8, 0, eventq.BackendHeap, BalanceUniform)
+	a := runGoldenDegraded(m, 7, 0, eventq.BackendHeap)
+	b := runGoldenDegraded(m, 8, 0, eventq.BackendHeap)
 	if a.lost == b.lost && len(a.records) == len(b.records) {
 		same := true
 		for i := range a.records {
@@ -83,16 +79,16 @@ func TestLinkModelSeedSensitivity(t *testing.T) {
 }
 
 // FuzzLinkModelParity is the pinned invariant of the link-model streams:
-// for ANY model parameters, corruption seed, shard count, queue backend,
-// and balancing mode, a degraded run is byte-identical to the serial
-// heap run of the same model and seed. Unlike the steal fuzzer the
-// reference depends on the fuzzed model, so both runs execute per input.
+// for ANY model parameters, corruption seed, shard count, and queue
+// backend, a degraded run is byte-identical to the serial heap run of the
+// same model and seed. The reference depends on the fuzzed model, so both
+// runs execute per input.
 func FuzzLinkModelParity(f *testing.F) {
-	f.Add(uint8(0), uint8(3), uint8(0), uint64(7), uint8(4), false, false)
-	f.Add(uint8(1), uint8(5), uint8(30), uint64(1), uint8(2), true, false)
-	f.Add(uint8(2), uint8(4), uint8(25), uint64(99), uint8(4), false, true)
-	f.Add(uint8(1), uint8(100), uint8(100), uint64(7), uint8(8), true, true)
-	f.Fuzz(func(t *testing.T, kind, p1, p2 uint8, seed uint64, shards uint8, wheel, steal bool) {
+	f.Add(uint8(0), uint8(3), uint8(0), uint64(7), uint8(4), false)
+	f.Add(uint8(1), uint8(5), uint8(30), uint64(1), uint8(2), true)
+	f.Add(uint8(2), uint8(4), uint8(25), uint64(99), uint8(4), false)
+	f.Add(uint8(1), uint8(100), uint8(100), uint64(7), uint8(8), true)
+	f.Fuzz(func(t *testing.T, kind, p1, p2 uint8, seed uint64, shards uint8, wheel bool) {
 		var m linkmodel.Model
 		switch kind % 3 {
 		case 0:
@@ -123,11 +119,7 @@ func FuzzLinkModelParity(f *testing.F) {
 		if wheel {
 			q = eventq.BackendWheel
 		}
-		b := BalanceUniform
-		if steal {
-			b = BalanceSteal
-		}
-		ref := runGoldenDegraded(m, seed, 0, eventq.BackendHeap, BalanceUniform)
-		diffRuns(t, "fuzz-linkmodel", ref, runGoldenDegraded(m, seed, k, q, b), k)
+		ref := runGoldenDegraded(m, seed, 0, eventq.BackendHeap)
+		diffRuns(t, "fuzz-linkmodel", ref, runGoldenDegraded(m, seed, k, q), k)
 	})
 }

@@ -110,13 +110,6 @@ type Config struct {
 	// ShardWorkers bounds the worker pool driving shard windows (0 means
 	// one worker per shard).
 	ShardWorkers int
-	// Balance selects the shard load-balancing mode: BalanceUniform
-	// edge-cut partitions by switch count (the historical default),
-	// BalanceWeighted partitions by demand-derived event-rate weights at
-	// Begin, and BalanceSteal additionally migrates whole-entity ownership
-	// from hot shards to idle ones at window barriers. Records() stays
-	// byte-identical to the serial engine under every mode.
-	Balance BalanceMode
 
 	// Kernel attaches the engine to an externally owned simulation kernel
 	// (hybrid runs). Nil means the engine creates and drives its own.
@@ -267,17 +260,9 @@ type Simulator struct {
 	ctrlBy   []flowsim.Controller
 	ctrlCtx  []*flowsim.Context
 
-	// Work stealing (coordinator-only, BalanceSteal). exec exposes
-	// SetLookahead for post-migration horizon updates; lastDisp holds
-	// per-shard dispatch counters at the previous barrier; stealScript,
-	// when set (tests), overrides the steal policy with an explicit
-	// schedule — any legal schedule yields byte-identical records.
-	exec        *shardExec
-	lastDisp    []uint64
-	stealDelta  []uint64
-	stealCool   int
-	stealRound  int
-	stealScript func(round int) []stealChoice
+	// exec is the window executor of a sharded run (coordinator-only,
+	// set by Run); ShardLoads reads its per-shard dispatch counters.
+	exec *shardExec
 
 	begun    bool
 	finished bool
@@ -344,7 +329,6 @@ type pktFlow struct {
 	sendBase int // lowest unacked seq
 	dupAcks  int
 	inFlight int
-	rtoAt    simtime.Time
 	rtoGen   uint64 // backstop: invalidates stale evRTO events
 	// rto is the outstanding retransmission timer: every re-arm cancels
 	// the previous event outright instead of leaving a corpse to fire as
@@ -632,7 +616,6 @@ func (s *Simulator) loadOne(d traffic.Demand) {
 		cwnd:     10,
 		ssthresh: math.Inf(1),
 		received: make(map[int]bool),
-		rtoAt:    simtime.Never,
 
 		deadlineDoneAt: simtime.Never,
 		recvDoneAt:     simtime.Never,
@@ -806,10 +789,8 @@ func (s *Simulator) Begin() {
 		c.liveBy = make([]int32, len(s.flows))
 	}
 	if s.nshards > 1 {
-		// Demands are loaded: replace the uniform partition with the
-		// event-rate-weighted one (when configured) before any pending
-		// event is routed to an owner.
-		s.rebalance()
+		// Flow accounting is sized: route the events parked since Load
+		// to their owners on the construction-time partition.
 		s.routePending()
 	}
 	if s.ctrl != nil {

@@ -4,8 +4,12 @@
 //
 //   - Every event kind has one owning shard derived from a stable entity
 //     (flow sender → source host's shard, transmitter/arrival → the link
-//     direction's endpoint shard, control plane → shard 0, scripted
-//     topology changes → the coordinator kernel).
+//     direction's endpoint shard, controller messages and timers → the
+//     shard homing that component's controller, scripted topology
+//     changes → the coordinator kernel).
+//   - Placement is fixed for the whole run: the uniform edge-cut
+//     partition chosen at construction, with each controller instance
+//     homed at Begin (startControllerSharded).
 //   - A shard schedules its own events directly; events for other shards
 //     append to a per-clone outbox and deliver at the next barrier,
 //     merged across clones in (time, order key) order with per-source
@@ -208,6 +212,71 @@ func (s *Simulator) routePending() {
 	}
 }
 
+// startControllerSharded homes the control plane on the shard partition
+// and starts it. Every connected component of the switch graph gets a home
+// shard — the one owning the plurality of its switches (ties to the lowest
+// shard) — and, when the controller can Fork, its own scoped instance
+// whose out-of-component sends are dropped: the union of the instances'
+// surviving messages equals the single serial instance's multiset. A
+// controller that cannot Fork runs as one instance on the overall
+// plurality shard — off shard 0, but shared by every component.
+func (s *Simulator) startControllerSharded() {
+	// Per-component plurality over the partition.
+	own := make([]int, s.ncomp*s.nshards)
+	total := make([]int, s.nshards)
+	for _, sw := range s.topo.Switches() {
+		own[int(s.compOf[sw])*s.nshards+int(s.partOf[sw])]++
+		total[s.partOf[sw]]++
+	}
+	plurality := func(counts []int) int32 {
+		best := 0
+		for i, c := range counts {
+			if c > counts[best] {
+				best = i
+			}
+		}
+		return int32(best)
+	}
+	for c := 0; c < s.ncomp; c++ {
+		s.ctrlHome[c] = plurality(own[c*s.nshards : (c+1)*s.nshards])
+	}
+
+	var insts []flowsim.Controller
+	if s.ncomp > 1 {
+		if f, ok := s.ctrl.(flowsim.Forker); ok {
+			insts = make([]flowsim.Controller, s.ncomp)
+			insts[0] = s.ctrl
+			for c := 1; c < s.ncomp; c++ {
+				if insts[c] = f.Fork(); insts[c] == nil {
+					insts = nil
+					break
+				}
+			}
+		}
+	}
+	if insts == nil {
+		// Single instance: one home for everything.
+		h := plurality(total)
+		hc := s.clones[h]
+		for c := 0; c < s.ncomp; c++ {
+			s.ctrlHome[c] = h
+			s.ctrlBy[c] = s.ctrl
+			s.ctrlCtx[c] = hc.ctx
+		}
+		s.ctrl.Start(hc.ctx)
+		return
+	}
+	for c := 0; c < s.ncomp; c++ {
+		comp := int32(c)
+		s.ctrlBy[c] = insts[c]
+		s.ctrlCtx[c] = flowsim.NewScopedContext(s.clones[s.ctrlHome[c]],
+			func(dp netgraph.NodeID) bool { return s.compOf[dp] == comp })
+	}
+	for c := 0; c < s.ncomp; c++ {
+		s.ctrlBy[c].Start(s.ctrlCtx[c])
+	}
+}
+
 // exchange is the barrier hook: it collects every clone's outbox, merges
 // in (time, order key) order with per-source FIFO preserved (stable sort
 // over clone-index concatenation), and delivers into the owning kernels.
@@ -232,7 +301,6 @@ func (s *Simulator) exchange() {
 		c.pendingStatus = c.pendingStatus[:0]
 	}
 	if len(msgs) == 0 {
-		s.stealBarrier()
 		return
 	}
 	sort.SliceStable(msgs, func(i, j int) bool {
@@ -251,18 +319,6 @@ func (s *Simulator) exchange() {
 		c := s.clones[m.target]
 		m.ev.sim = c
 		c.k.Schedule(m.ev)
-	}
-	s.stealBarrier()
-}
-
-// stealBarrier runs after the outbox merge at every barrier when work
-// stealing is enabled: it measures per-shard load and may migrate one
-// switch group from the hottest shard to the coldest (see balance.go).
-// exchange() calls it last so migrated events have already been merged
-// into their (old) owner's queue and move as one ordered block.
-func (s *Simulator) stealBarrier() {
-	if s.cfg.Balance == BalanceSteal && s.isCoordinator && s.exec != nil {
-		s.maybeSteal()
 	}
 }
 
@@ -368,4 +424,14 @@ func (s *Simulator) notePending(msg openflow.Message) {
 		return
 	}
 	s.fstate.NotePendingStatus(msg)
+}
+
+// ShardLoads returns the per-shard dispatched-event counts of a sharded
+// run — the load-balance histogram the skew soak exports. Nil for serial
+// runs; valid after Run.
+func (s *Simulator) ShardLoads() []uint64 {
+	if s.exec == nil {
+		return nil
+	}
+	return s.exec.ShardDispatched()
 }

@@ -103,20 +103,9 @@ func New(cfg Config, global *simcore.Kernel, shards []*simcore.Kernel, exchange 
 	return x
 }
 
-// SetLookahead replaces the conservative horizon Δ. Call it only from the
-// exchange hook (which runs single-threaded at a barrier); the new value
-// bounds the next window. Work stealing uses it when an ownership
-// migration changes the cut — the minimum cut delay, and with it the safe
-// window, may shrink or grow.
-func (x *Executor) SetLookahead(d simtime.Duration) {
-	if d <= 0 {
-		panic(fmt.Sprintf("shard: non-positive lookahead %v", d))
-	}
-	x.cfg.Lookahead = d
-}
-
 // ShardDispatched returns the per-shard dispatch counters (excluding the
-// coordinator) — the load-balance histogram the E9 skew soak exports.
+// coordinator): how evenly the partition spread the event load, as the
+// skew soak and the benchmark's shard-imbalance figure report it.
 func (x *Executor) ShardDispatched() []uint64 {
 	out := make([]uint64, len(x.shards))
 	for i, k := range x.shards {

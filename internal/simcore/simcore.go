@@ -108,38 +108,6 @@ func (k *Kernel) Dispatched() uint64 { return k.dispatched }
 // instant (after everything already queued there).
 func (k *Kernel) Schedule(ev Event) { k.q.Push(ev) }
 
-// Extract drains the queue and returns, in dequeue order, every event for
-// which match returns true; the rest are re-pushed in dequeue order, so
-// their relative (time, key, FIFO) order is preserved exactly. The sharded
-// executor's work stealing uses it at window barriers to move a migrated
-// entity's queued events to the new owner's kernel.
-//
-// Extract must only be called when no live Timer handle points into this
-// queue: popping invalidates eventq handles, so the caller cancels every
-// pending cancelable event first (collecting re-arm state) and re-arms
-// after the move. Events sharing an exact (time, key) pair always belong
-// to one entity (keys derive from stable entities), so a whole-entity
-// match can never split a FIFO tie group between keepers and movers.
-func (k *Kernel) Extract(match func(Event) bool) []Event {
-	var movers, keepers []Event
-	for {
-		ev := k.q.Pop()
-		if ev == nil {
-			break
-		}
-		e := ev.(Event)
-		if match(e) {
-			movers = append(movers, e)
-		} else {
-			keepers = append(keepers, e)
-		}
-	}
-	for _, e := range keepers {
-		k.q.Push(e)
-	}
-	return movers
-}
-
 // Timer is a handle on one cancelable scheduled event. The zero Timer is
 // valid and cancels as a no-op; handles go stale once the event fires or
 // is cancelled, so engines may keep a Timer per flow/switch and Cancel it

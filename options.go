@@ -33,8 +33,6 @@ type options struct {
 	shards        int
 	shardWorkers  int
 	workersSet    bool
-	balance       ShardBalancing
-	balanceSet    bool
 	queuePackets  int
 	queueSet      bool
 	rtoMin        Duration
@@ -71,13 +69,7 @@ func (o *options) validate() error {
 		if o.workersSet {
 			return bad("WithShardWorkers", "only the Packet engine runs the sharded executor")
 		}
-		if o.balanceSet {
-			return bad("WithShardBalancing", "only the Packet engine runs the sharded executor")
-		}
 	case Packet:
-		if o.balanceSet && o.shards == 0 {
-			return bad("WithShardBalancing", "balancing applies to sharded runs; add WithShards(k)")
-		}
 		if o.packetSet {
 			return bad("WithPacketFraction", "only a Hybrid engine splits the demand stream; set WithFidelity(horse.Hybrid)")
 		}
@@ -96,9 +88,6 @@ func (o *options) validate() error {
 		}
 		if o.workersSet {
 			return bad("WithShardWorkers", "only the Packet engine runs the sharded executor")
-		}
-		if o.balanceSet {
-			return bad("WithShardBalancing", "only the Packet engine runs the sharded executor")
 		}
 		if o.fullRecompute {
 			return bad("WithFullRecompute", "applies to Flow only")
@@ -249,53 +238,6 @@ func WithShards(k int) Option {
 			return &BuildError{Option: "WithShards", Reason: fmt.Sprintf("negative shard count %d", k)}
 		}
 		o.shards = k
-		return nil
-	}
-}
-
-// ShardBalancing selects how a sharded Packet engine places and re-places
-// work across shards. Every mode preserves the determinism contract:
-// records are byte-identical to the serial engine at any shard count.
-type ShardBalancing int
-
-const (
-	// BalanceUniform edge-cut partitions by switch count (the default).
-	BalanceUniform ShardBalancing = iota
-	// BalanceWeighted partitions by demand-derived event-rate weights: the
-	// expected packet load of each flow is charged to its endpoint
-	// switches, so shards even out expected event load rather than switch
-	// count.
-	BalanceWeighted
-	// BalanceSteal is BalanceWeighted plus window-barrier work stealing:
-	// when one shard's dispatch rate dominates a window, a whole switch
-	// group (the switch, its hosts, their flows and timers) migrates to
-	// the coldest shard between windows.
-	BalanceSteal
-)
-
-// String returns the wire name of the mode ("uniform", "weighted",
-// "steal").
-func (b ShardBalancing) String() string {
-	switch b {
-	case BalanceWeighted:
-		return "weighted"
-	case BalanceSteal:
-		return "steal"
-	default:
-		return "uniform"
-	}
-}
-
-// WithShardBalancing selects the load-balancing mode of a sharded Packet
-// engine (default BalanceUniform). Requires WithShards; Packet fidelity
-// only. Results do not depend on the choice — only wall-clock time does.
-func WithShardBalancing(b ShardBalancing) Option {
-	return func(o *options) error {
-		if b < BalanceUniform || b > BalanceSteal {
-			return &BuildError{Option: "WithShardBalancing", Reason: fmt.Sprintf("unknown balancing mode %d", b)}
-		}
-		o.balance = b
-		o.balanceSet = true
 		return nil
 	}
 }

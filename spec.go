@@ -124,17 +124,19 @@ func SpecOptions(o wire.OptionsSpec) ([]Option, error) {
 	if o.ShardWorkers != nil {
 		opts = append(opts, WithShardWorkers(*o.ShardWorkers))
 	}
-	switch o.ShardBalancing {
-	case "":
-		// The default (uniform) — no option.
-	case wire.BalanceUniform:
-		opts = append(opts, WithShardBalancing(BalanceUniform))
-	case wire.BalanceWeighted:
-		opts = append(opts, WithShardBalancing(BalanceWeighted))
-	case wire.BalanceSteal:
-		opts = append(opts, WithShardBalancing(BalanceSteal))
-	default:
-		return nil, &BuildError{Option: "WithShardBalancing", Reason: fmt.Sprintf("unknown balancing mode %q", o.ShardBalancing)}
+	// shard_balancing is frozen in v1, but every sharded packet run now
+	// uses the uniform partition: the retired "weighted" and "steal" modes
+	// never changed results, so all names run uniform. The field still
+	// validates as the option it replaced did.
+	bad := func(reason string) error { return &BuildError{Option: "options.shard_balancing", Reason: reason} }
+	switch b := o.ShardBalancing; {
+	case b == "":
+	case b != wire.BalanceUniform && b != wire.BalanceWeighted && b != wire.BalanceSteal:
+		return nil, bad(fmt.Sprintf("unknown balancing mode %q", b))
+	case fid != Packet:
+		return nil, bad("only the Packet engine runs the sharded executor")
+	case o.Shards == 0:
+		return nil, bad("balancing applies to sharded runs; set shards")
 	}
 	if o.QueuePackets != nil {
 		opts = append(opts, WithQueuePackets(*o.QueuePackets))

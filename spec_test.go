@@ -215,6 +215,10 @@ func TestNewFromSpecValidation(t *testing.T) {
 			s.Options.Fidelity = wire.FidelityPacket
 			s.Options.ShardBalancing = wire.BalanceSteal
 		}), true},
+		{"balancing on flow", barely(func(s *wire.SessionSpec) {
+			s.Options.Shards = 4
+			s.Options.ShardBalancing = wire.BalanceWeighted
+		}), true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -255,7 +259,9 @@ func TestSpecOptionsDefaults(t *testing.T) {
 // "auto" and calendar_queue true must still build, and (running on the
 // wheel) produce flow records and link series byte-identical to
 // event_queue "heap". calendar_queue combined with another explicit
-// backend stays a *BuildError.
+// backend stays a *BuildError. The retired shard_balancing modes are
+// frozen the same way: "uniform", "weighted" and "steal" all run the
+// uniform partition, byte-identical to the sharded run with no balancing.
 func TestSpecLegacyEventQueueNames(t *testing.T) {
 	render := func(t *testing.T, fidelity string, mut func(*wire.OptionsSpec)) string {
 		t.Helper()
@@ -303,6 +309,19 @@ func TestSpecLegacyEventQueueNames(t *testing.T) {
 				}
 			})
 		}
+	}
+	sharded := render(t, wire.FidelityPacket, func(o *wire.OptionsSpec) { o.Shards = 4 })
+	for _, b := range []string{wire.BalanceUniform, wire.BalanceWeighted, wire.BalanceSteal} {
+		b := b
+		t.Run("packet/shard_balancing="+b, func(t *testing.T) {
+			got := render(t, wire.FidelityPacket, func(o *wire.OptionsSpec) {
+				o.Shards = 4
+				o.ShardBalancing = b
+			})
+			if got != sharded {
+				t.Fatal("records differ from the shards=4 run with no balancing")
+			}
+		})
 	}
 
 	for _, q := range []string{wire.EventQueueHeap, wire.EventQueueWheel, wire.EventQueueAuto} {
