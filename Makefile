@@ -20,7 +20,6 @@ race:
 	$(GO) test -race -run 'TestShardDeterminism' ./internal/packetsim/
 	$(GO) test -race -run 'TestSkewedStarShardParity|TestControllerShardingComponents' ./internal/packetsim/
 	$(GO) test -race -run 'TestLinkModelShardParity' ./internal/packetsim/
-	$(GO) test -race -run 'TestParallelMatchesSerial' ./internal/fairshare/
 	$(GO) test -race -run 'TestStreamEquivalence' .
 
 bench:

@@ -719,7 +719,8 @@ type OptionsSpec struct {
 	// stay accepted and run on the wheel. Results are byte-identical
 	// across backends; only run time differs.
 	EventQueue string `json:"event_queue,omitempty"`
-	// Shards enables multi-core execution.
+	// Shards enables multi-core execution (packet engine). A flow spec
+	// still accepts it and runs serial; a hybrid spec rejects it.
 	Shards int `json:"shards,omitempty"`
 	// ShardWorkers bounds the shard worker pool (packet engine).
 	ShardWorkers *int `json:"shard_workers,omitempty"`
@@ -749,15 +750,15 @@ type OptionsSpec struct {
 // Workers is the session's worker-budget cost: how many workers of the
 // daemon's shared budget the session occupies while running. A sharded
 // packet engine costs its worker-pool width (ShardWorkers when bounded,
-// else one per shard); a sharded flow engine costs its settle-scan
-// fan-out; everything else costs one.
+// else one per shard); every other session, flow specs with shards
+// included, runs serial and costs one.
 func (o OptionsSpec) Workers() int {
+	if o.Fidelity != FidelityPacket {
+		return 1
+	}
 	n := o.Shards
-	if o.Fidelity == FidelityPacket && o.ShardWorkers != nil && *o.ShardWorkers > 0 {
+	if o.ShardWorkers != nil && *o.ShardWorkers > 0 {
 		n = *o.ShardWorkers
 	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(n, 1)
 }

@@ -254,9 +254,9 @@ func TestOptionsSpecWorkers(t *testing.T) {
 		want int
 	}{
 		{OptionsSpec{}, 1},
-		{OptionsSpec{Shards: 4}, 4},
+		{OptionsSpec{Shards: 4}, 1},
 		{OptionsSpec{Fidelity: FidelityPacket, Shards: 8, ShardWorkers: &two}, 2},
-		{OptionsSpec{Fidelity: FidelityFlow, Shards: 8, ShardWorkers: &two}, 8},
+		{OptionsSpec{Fidelity: FidelityFlow, Shards: 8, ShardWorkers: &two}, 1},
 	}
 	for _, c := range cases {
 		if got := c.o.Workers(); got != c.want {

@@ -575,6 +575,7 @@ func TestBuildErrors(t *testing.T) {
 		{"fraction on flow engine", []horse.Option{horse.WithPacketFraction(0.5)}},
 		{"tcp on packet engine", []horse.Option{horse.WithFidelity(horse.Packet), horse.WithTCP(horse.TCPParams{RTT: horse.Millisecond})}},
 		{"shards on hybrid", []horse.Option{horse.WithFidelity(horse.Hybrid), horse.WithPacketFraction(0.5), horse.WithShards(2)}},
+		{"shards on flow", []horse.Option{horse.WithShards(2)}},
 		{"negative stats period", []horse.Option{horse.WithStatsEvery(-horse.Second)}},
 		{"nil controller", []horse.Option{horse.WithController(nil)}},
 		{"nil sink", []horse.Option{horse.WithRecordSink(nil)}},
@@ -602,6 +603,12 @@ func TestBuildErrors(t *testing.T) {
 				t.Errorf("error %T (%v) is neither *BuildError nor *ScenarioEventError", err, err)
 			}
 		})
+	}
+	// The Flow engine (the default fidelity) runs serial: WithShards is
+	// rejected by name.
+	var be *horse.BuildError
+	if _, err := horse.New(topo, horse.WithShards(2)); !errors.As(err, &be) || be.Option != "WithShards" {
+		t.Errorf("WithShards on the Flow engine: got %v, want a *BuildError naming WithShards", err)
 	}
 	// Options validate independently of order: fidelity last still wins.
 	if _, err := horse.New(topo, horse.WithPacketFraction(0.5), horse.WithFidelity(horse.Hybrid)); err != nil {

@@ -36,7 +36,7 @@ const (
 	Flow Fidelity = iota
 	// Packet simulates every packet: store-and-forward switching,
 	// drop-tail queues, window-based TCP. The accuracy baseline, and the
-	// fidelity that shards across cores (WithShards).
+	// only fidelity that shards across cores (WithShards).
 	Packet
 	// Hybrid runs flagged flows packet-by-packet and the rest at flow
 	// level, under one clock and one control plane (WithPacketFraction).
@@ -82,7 +82,7 @@ type (
 	ObsKind = simevent.Kind
 	// Progress is one progress report of a running engine.
 	Progress = simevent.Progress
-	// ProgressFunc receives progress reports (WithProgress).
+	// ProgressFunc receives progress reports (WithProgressEvery).
 	ProgressFunc = simevent.ProgressFunc
 )
 
@@ -93,10 +93,6 @@ const (
 	ObsControllerChange = simevent.ControllerChange
 	ObsLinkDegrade      = simevent.LinkDegrade
 )
-
-// DefaultProgressEvery is the reporting period WithProgress uses: one
-// report per virtual second (WithProgressEvery overrides).
-const DefaultProgressEvery = Second
 
 // New builds a simulation engine over topo from functional options:
 //
@@ -160,7 +156,6 @@ func New(topo *Topology, opts ...Option) (Engine, error) {
 			FullRecompute:  o.fullRecompute,
 			EventQueue:     eventq.Backend(o.eventQueue),
 			RateEpsilon:    o.rateEpsilon,
-			Shards:         o.shards,
 			Links:          links,
 		})
 	case Packet:

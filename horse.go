@@ -33,7 +33,7 @@
 // Swap horse.WithFidelity(horse.Packet) or horse.WithFidelity(horse.Hybrid)
 // in and the same program runs at packet granularity, or with a
 // packet-level foreground over a fluid background — same Engine surface,
-// same Run lifecycle (context cancellation, WithProgress reports), same
+// same Run lifecycle (context cancellation, WithProgressEvery reports), same
 // streaming results path (WithRecordSink).
 //
 // The package is a façade over the internal building blocks; beyond the

@@ -1237,7 +1237,8 @@ func e10Spec(o Options, models []e10Model, shardCounts []int) *spec {
 		}
 		if fid == horse.Hybrid {
 			opts = append(opts, horse.WithPacketFraction(0.5))
-		} else if shards > 1 {
+		}
+		if shards > 1 {
 			opts = append(opts, horse.WithShards(shards))
 		}
 		if m != nil {
@@ -1291,8 +1292,8 @@ func e10Spec(o Options, models []e10Model, shardCounts []int) *spec {
 				ref := refCol.Flows()
 
 				// The arm grid per fidelity: the packet engine sweeps
-				// shards × backend, the flow engine sweeps shards, the
-				// (serial-only) hybrid sweeps backends.
+				// shards × backend, the (serial-only) flow engine runs its
+				// reference alone, the (serial-only) hybrid sweeps backends.
 				type arm struct {
 					shards int
 					q      horse.EventQueue
@@ -1306,9 +1307,7 @@ func e10Spec(o Options, models []e10Model, shardCounts []int) *spec {
 						}
 					}
 				case horse.Flow:
-					for _, s := range shardCounts {
-						arms = append(arms, arm{s, horse.EventQueueHeap})
-					}
+					arms = append(arms, arm{1, horse.EventQueueHeap})
 				case horse.Hybrid:
 					arms = append(arms, arm{1, horse.EventQueueHeap}, arm{1, horse.EventQueueWheel})
 				}

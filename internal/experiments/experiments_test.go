@@ -238,10 +238,10 @@ func TestE9Shape(t *testing.T) {
 // reference, models enabled.
 func TestE10Shape(t *testing.T) {
 	tb := runSpecs(Options{}, []*spec{e10Spec(Options{}, e10QuickModels(), []int{1, 4})})[0]
-	// Per model: flow {1,4} + packet {1,4}×{heap,wheel} + hybrid
-	// {heap,wheel} = 8 rows; the quick grid has two models.
-	if len(tb.Rows) != 16 {
-		t.Fatalf("rows = %d, want 16", len(tb.Rows))
+	// Per model: flow (serial) + packet {1,4}×{heap,wheel} + hybrid
+	// {heap,wheel} = 7 rows; the quick grid has two models.
+	if len(tb.Rows) != 14 {
+		t.Fatalf("rows = %d, want 14", len(tb.Rows))
 	}
 	model := colIndex(tb, "model")
 	fid := colIndex(tb, "fidelity")

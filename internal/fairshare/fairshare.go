@@ -27,8 +27,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 )
 
 // ResourceID identifies a capacity-constrained resource. The caller assigns
@@ -119,21 +117,10 @@ type solveScratch struct {
 	compCount []int32
 	compPos   []int32
 	compFlows []int32
-	compRoots []int32
 
-	worker  solveWorker   // the serial solve path's working set
-	workers []solveWorker // pooled working sets for RecomputeAllParallel
-}
-
-// solveWorker is the per-solve working set that cannot be shared when
-// components are solved concurrently. Every other scratch buffer is
-// indexed by flow or resource slot and components are slot-disjoint, so
-// those can be shared; these are one-per-in-flight-solve.
-type solveWorker struct {
 	order     []int32 // demand-sorted unfrozen flows
 	activeRes []int32 // resource slots still binding
 	changed   []Changed
-	marks     []compMark // per-component spans of changed (parallel merge)
 	visited   uint64
 
 	// Progressive-filling state shared between solve and freezeFlow.
@@ -141,18 +128,10 @@ type solveWorker struct {
 	activeCount int
 }
 
-// compMark records where a component's changes begin inside a worker's
-// changed slice, so RecomputeAllParallel can stitch per-worker results
-// back into ascending-component order (the serial order).
-type compMark struct {
-	seq   int32 // component sequence number, ascending root order
-	start int32 // offset into the worker's changed slice
-}
-
-// beginPass opens one freeze/touch epoch for a recompute pass. A single
-// epoch serves every component solved in the pass — serially or
-// concurrently — because the epoch-stamped slots of distinct components
-// are disjoint.
+// beginPass opens one freeze/touch epoch for a recompute pass and resets
+// the pass's change list. A single epoch serves every component solved
+// in the pass because the epoch-stamped slots of distinct components are
+// disjoint.
 func (s *solveScratch) beginPass() {
 	s.solveEpoch++
 	if s.solveEpoch == 0 { // uint32 wrap: stale marks could alias, so reset
@@ -160,6 +139,8 @@ func (s *solveScratch) beginPass() {
 		clear(s.resMark)
 		s.solveEpoch = 1
 	}
+	s.changed = s.changed[:0]
+	s.visited = 0
 }
 
 // New returns an empty allocator with a 1% change-report epsilon.
@@ -405,111 +386,14 @@ func (a *Allocator) RecomputeAll() []Changed {
 
 	// Solve each component. pos[r] points one past the component's end.
 	s.beginPass()
-	w := &s.worker
-	w.changed = w.changed[:0]
-	w.visited = 0
 	for r, c := range cnt {
 		if c == 0 {
 			continue
 		}
-		a.solve(grouped[pos[r]-c:pos[r]], w)
+		a.solve(grouped[pos[r]-c : pos[r]])
 	}
-	a.FlowsVisited += w.visited
-	return w.changed
-}
-
-// RecomputeAllParallel is RecomputeAll with the independent component
-// solves fanned across up to workers goroutines. Rates, stats, and the
-// returned change list are identical to RecomputeAll: components are
-// claimed dynamically, but each worker records per-component spans of its
-// change list and the spans are stitched back together in ascending
-// component order afterwards. workers <= 1 falls back to the serial path.
-func (a *Allocator) RecomputeAllParallel(workers int) []Changed {
-	if workers <= 1 {
-		return a.RecomputeAll()
-	}
-	a.FullSolves++
-	a.clearDirty()
-	s := &a.scratch
-	s.ensureScratch(len(a.flows), len(a.res))
-	cnt, pos, grouped := a.groupComponents()
-
-	roots := s.compRoots[:0]
-	for r, c := range cnt {
-		if c > 0 {
-			roots = append(roots, int32(r))
-		}
-	}
-	s.compRoots = roots
-	ncomp := len(roots)
-	s.beginPass()
-	if ncomp <= 1 {
-		w := &s.worker
-		w.changed = w.changed[:0]
-		w.visited = 0
-		if ncomp == 1 {
-			r := roots[0]
-			a.solve(grouped[pos[r]-cnt[r]:pos[r]], w)
-		}
-		a.FlowsVisited += w.visited
-		return w.changed
-	}
-	if workers > ncomp {
-		workers = ncomp
-	}
-	if len(s.workers) < workers {
-		s.workers = append(s.workers, make([]solveWorker, workers-len(s.workers))...)
-	}
-	ws := s.workers[:workers]
-
-	var next atomic.Int32
-	var wg sync.WaitGroup
-	for g := range ws {
-		w := &ws[g]
-		w.changed = w.changed[:0]
-		w.marks = w.marks[:0]
-		w.visited = 0
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				seq := next.Add(1) - 1
-				if int(seq) >= ncomp {
-					return
-				}
-				r := roots[seq]
-				w.marks = append(w.marks, compMark{seq: seq, start: int32(len(w.changed))})
-				a.solve(grouped[pos[r]-cnt[r]:pos[r]], w)
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Stitch per-component change spans into ascending component order.
-	// Each worker's marks already ascend, so a cursor per worker suffices.
-	out := s.worker.changed[:0]
-	cursor := make([]int, len(ws))
-	for seq := int32(0); seq < int32(ncomp); seq++ {
-		for g := range ws {
-			w := &ws[g]
-			if cursor[g] >= len(w.marks) || w.marks[cursor[g]].seq != seq {
-				continue
-			}
-			start := w.marks[cursor[g]].start
-			end := int32(len(w.changed))
-			if cursor[g]+1 < len(w.marks) {
-				end = w.marks[cursor[g]+1].start
-			}
-			out = append(out, w.changed[start:end]...)
-			cursor[g]++
-			break
-		}
-	}
-	for g := range ws {
-		a.FlowsVisited += ws[g].visited
-	}
-	s.worker.changed = out
-	return out
+	a.FlowsVisited += s.visited
+	return s.changed
 }
 
 // groupComponents splits live routed flows into sharing-graph components
@@ -634,32 +518,27 @@ func (a *Allocator) Recompute() []Changed {
 	}
 	s.queue, s.comp = queue, comp
 	s.beginPass()
-	w := &s.worker
-	w.changed = w.changed[:0]
-	w.visited = 0
-	a.solve(comp, w)
-	a.FlowsVisited += w.visited
-	return w.changed
+	a.solve(comp)
+	a.FlowsVisited += s.visited
+	return s.changed
 }
 
 // solve runs progressive filling over the given flow slots (assumed to be
 // a union of whole components) inside an open pass (beginPass) and appends
-// the changed flows to w.changed. Concurrent solves of slot-disjoint
-// components with distinct workers are safe: the scratch buffers solve
-// touches are all flow- or resource-indexed.
+// the changed flows to the scratch change list.
 //
 // The implementation exploits two structural facts to stay near
 // O((F+R)·log F + iterations·R): all unfrozen flows share the same
 // cumulative fill level, so demand-limited flows freeze in sorted demand
 // order (no per-iteration scan over flows); and saturated resources are
 // swap-removed from the active scan list.
-func (a *Allocator) solve(comp []int32, w *solveWorker) {
-	w.visited += uint64(len(comp))
+func (a *Allocator) solve(comp []int32) {
 	s := &a.scratch
+	s.visited += uint64(len(comp))
 	ep := s.solveEpoch
 
-	order := w.order[:0]
-	activeRes := w.activeRes[:0]
+	order := s.order[:0]
+	activeRes := s.activeRes[:0]
 	for _, fi := range comp {
 		f := &a.flows[fi]
 		for _, k := range f.res {
@@ -687,12 +566,12 @@ func (a *Allocator) solve(comp []int32, w *solveWorker) {
 		return cmp.Compare(a.flows[x].demand, a.flows[y].demand)
 	})
 	nextDemand := 0 // index into order of the next demand-freeze candidate
-	w.activeCount = len(order)
+	s.activeCount = len(order)
 
 	const tiny = 1e-9
-	w.level = 0 // common fill level of unfrozen flows
+	s.level = 0 // common fill level of unfrozen flows
 
-	for w.activeCount > 0 {
+	for s.activeCount > 0 {
 		// Advance past already-frozen heads of the demand order.
 		for nextDemand < len(order) && s.frozen[order[nextDemand]] == ep {
 			nextDemand++
@@ -700,7 +579,7 @@ func (a *Allocator) solve(comp []int32, w *solveWorker) {
 		// Minimum increment to a constraint.
 		delta := math.Inf(1)
 		if nextDemand < len(order) {
-			if d := a.flows[order[nextDemand]].demand - w.level; d < delta {
+			if d := a.flows[order[nextDemand]].demand - s.level; d < delta {
 				delta = d
 			}
 		}
@@ -725,7 +604,7 @@ func (a *Allocator) solve(comp []int32, w *solveWorker) {
 		// Apply the increment. Unfrozen allocations are implicit: every
 		// unfrozen flow sits exactly at the fill level, materialized only
 		// when the flow freezes (or at loop exit).
-		w.level += delta
+		s.level += delta
 		for _, k := range activeRes {
 			s.remaining[k] -= delta * float64(s.active[k])
 		}
@@ -737,8 +616,8 @@ func (a *Allocator) solve(comp []int32, w *solveWorker) {
 				nextDemand++
 				continue
 			}
-			if w.level >= a.flows[fi].demand-tiny {
-				a.freezeFlow(fi, w)
+			if s.level >= a.flows[fi].demand-tiny {
+				a.freezeFlow(fi)
 				nextDemand++
 				progressed = true
 				continue
@@ -753,7 +632,7 @@ func (a *Allocator) solve(comp []int32, w *solveWorker) {
 			}
 			for _, er := range a.res[k].flows {
 				if s.frozen[er.flow] != ep {
-					a.freezeFlow(er.flow, w)
+					a.freezeFlow(er.flow)
 					progressed = true
 				}
 			}
@@ -766,10 +645,10 @@ func (a *Allocator) solve(comp []int32, w *solveWorker) {
 	// Materialize never-frozen flows at the final fill level.
 	for _, fi := range order {
 		if s.frozen[fi] != ep {
-			s.allocVal[fi] = math.Min(w.level, a.flows[fi].demand)
+			s.allocVal[fi] = math.Min(s.level, a.flows[fi].demand)
 		}
 	}
-	w.order, w.activeRes = order, activeRes
+	s.order, s.activeRes = order, activeRes
 
 	// Publish and diff.
 	for _, fi := range comp {
@@ -778,19 +657,19 @@ func (a *Allocator) solve(comp []int32, w *solveWorker) {
 		old := f.rate
 		f.rate = newRate
 		if a.significant(old, newRate) {
-			w.changed = append(w.changed, Changed{ID: f.id, OldRate: old, NewRate: newRate})
+			s.changed = append(s.changed, Changed{ID: f.id, OldRate: old, NewRate: newRate})
 		}
 	}
 }
 
 // freezeFlow pins a flow at the current fill level (capped by demand) and
 // retires it from every resource it crosses.
-func (a *Allocator) freezeFlow(fi int32, w *solveWorker) {
+func (a *Allocator) freezeFlow(fi int32) {
 	s := &a.scratch
 	f := &a.flows[fi]
 	s.frozen[fi] = s.solveEpoch
-	s.allocVal[fi] = math.Min(w.level, f.demand)
-	w.activeCount--
+	s.allocVal[fi] = math.Min(s.level, f.demand)
+	s.activeCount--
 	for _, k := range f.res {
 		s.active[k]--
 	}

@@ -113,6 +113,21 @@ func TestFlowWithNoResources(t *testing.T) {
 	}
 }
 
+// TestParallelNoComponents: an allocator whose only flow is routeless has
+// no sharing-graph component; a full recompute must not panic or spin,
+// reports no change, and leaves the flow at its demand.
+func TestParallelNoComponents(t *testing.T) {
+	a := New()
+	a.SetCapacity(1, 1e9)
+	a.AddFlow(1, 5e8, nil) // routeless flow: rate = demand, no component
+	if got := a.RecomputeAll(); len(got) != 0 {
+		t.Fatalf("expected no changes, got %v", got)
+	}
+	if a.Rate(1) != 5e8 {
+		t.Fatalf("routeless flow rate = %g", a.Rate(1))
+	}
+}
+
 func TestRemoveFlowRedistributes(t *testing.T) {
 	a := New()
 	a.SetCapacity(1, 1e9)

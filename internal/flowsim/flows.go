@@ -1,7 +1,6 @@
 package flowsim
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -10,7 +9,6 @@ import (
 	"horse/internal/linkmodel"
 	"horse/internal/netgraph"
 	"horse/internal/openflow"
-	"horse/internal/runner"
 	"horse/internal/simcore"
 	"horse/internal/simevent"
 	"horse/internal/simtime"
@@ -119,9 +117,8 @@ func (s *Simulator) park(f *Flow, at netgraph.NodeID) {
 	// Open-ended flows still end at their deadline even while waiting.
 	s.k.Cancel(f.completion)
 	f.completion = simcore.Timer{}
-	f.gen++
 	if f.Deadline != simtime.Never {
-		f.completion = s.schedTimer(event{at: f.Deadline, kind: evComplete, flow: f, gen: f.gen})
+		f.completion = s.schedTimer(event{at: f.Deadline, kind: evComplete, flow: f})
 	}
 }
 
@@ -362,16 +359,9 @@ func (s *Simulator) drainAlloc() {
 	}
 	s.allocDirty = false
 	var changed []fairshare.Changed
-	switch {
-	case s.cfg.FullRecompute && s.cfg.Shards > 1:
-		// Sharing-graph components solve independently; fan them across
-		// the same worker count the settle pool uses. Identical output to
-		// RecomputeAll (the allocator stitches changes back into
-		// component order), so determinism is unaffected.
-		changed = s.alloc.RecomputeAllParallel(s.cfg.Shards)
-	case s.cfg.FullRecompute:
+	if s.cfg.FullRecompute {
 		changed = s.alloc.RecomputeAll()
-	default:
+	} else {
 		changed = s.alloc.Recompute()
 	}
 	if len(changed) == 0 && len(s.shiftPending) == 0 {
@@ -381,17 +371,12 @@ func (s *Simulator) drainAlloc() {
 	shifted := s.shiftScratch[:0]
 	shifted = append(shifted, s.shiftPending...)
 	s.shiftPending = s.shiftPending[:0]
-	settled := s.parallelSettle(changed)
-	for i, c := range changed {
+	for _, c := range changed {
 		f := s.flows[FlowID(c.ID)]
 		if f == nil || f.state != StateActive {
 			continue
 		}
-		if settled != nil {
-			s.applySettle(f, settled[i])
-		} else {
-			s.settleFlow(f)
-		}
+		s.settleFlow(f)
 		s.adjustLedgers(f, c.NewRate-f.rate)
 		f.rate = c.NewRate
 		s.col.RateChanges++
@@ -415,80 +400,11 @@ func (s *Simulator) drainAlloc() {
 	}
 }
 
-// parallelSettleMin is the drain size below which fanning the settle scan
-// out costs more than the arithmetic it parallelizes.
-const parallelSettleMin = 256
-
-// parallelSettle computes, for every changed flow, the bits it transferred
-// since its last settle — the pure, per-flow half of the drain — on a
-// worker pool of Config.Shards workers. Returns nil (caller settles
-// serially) when the pool is not configured or the drain is small. The
-// computation per flow is the exact expression settleFlow evaluates, so
-// the fanned-out drain is bit-identical to the serial one; the mutating
-// half (flow totals, shared switch entries, ledgers) stays with the
-// caller's serial apply pass.
-func (s *Simulator) parallelSettle(changed []fairshare.Changed) []float64 {
-	if s.cfg.Shards <= 1 || len(changed) < parallelSettleMin {
-		return nil
-	}
-	out := make([]float64, len(changed))
-	now := s.k.Now()
-	workers := s.cfg.Shards
-	chunk := (len(changed) + workers - 1) / workers
-	var cells []runner.Cell[struct{}]
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if lo >= len(changed) {
-			break
-		}
-		if hi > len(changed) {
-			hi = len(changed)
-		}
-		cells = append(cells, runner.Cell[struct{}]{
-			ID: fmt.Sprintf("settle%d", w),
-			Run: func() struct{} {
-				for i := lo; i < hi; i++ {
-					f := s.flows[FlowID(changed[i].ID)]
-					if f == nil || f.state != StateActive || now <= f.lastSettle {
-						continue
-					}
-					out[i] = f.rate * now.Sub(f.lastSettle).Seconds()
-				}
-				return struct{}{}
-			},
-		})
-	}
-	runner.Run(cells, workers)
-	return out
-}
-
-// applySettle is settleFlow with the transferred bits precomputed by
-// parallelSettle.
-func (s *Simulator) applySettle(f *Flow, bits float64) {
-	if f.state == StateActive && s.k.Now() > f.lastSettle && bits > 0 {
-		f.sent += bits
-		if !math.IsInf(f.remaining, 1) {
-			f.remaining -= bits
-			if f.remaining < 0 {
-				f.remaining = 0
-			}
-		}
-		for _, e := range f.entries {
-			e.Bytes += uint64(bits / 8)
-			e.Packets += uint64(bits/packetBits) + 1
-			e.LastUsed = s.k.Now()
-		}
-	}
-	f.lastSettle = s.k.Now()
-}
-
 // scheduleCompletion (re)schedules the flow's completion event based on its
 // remaining volume, current rate, and deadline.
 func (s *Simulator) scheduleCompletion(f *Flow) {
 	s.k.Cancel(f.completion)
 	f.completion = simcore.Timer{}
-	f.gen++
 	at := simtime.Never
 	if !math.IsInf(f.remaining, 1) && f.rate > 0 {
 		at = s.k.Now().Add(simtime.TransferTime(f.remaining, f.rate))
@@ -505,7 +421,7 @@ func (s *Simulator) scheduleCompletion(f *Flow) {
 	if at == simtime.Never {
 		return
 	}
-	f.completion = s.schedTimer(event{at: at, kind: evComplete, flow: f, gen: f.gen})
+	f.completion = s.schedTimer(event{at: at, kind: evComplete, flow: f})
 }
 
 // handleComplete ends a flow: either its volume is transferred or its
@@ -538,7 +454,6 @@ func (s *Simulator) finalize(f *Flow, completed bool, outcome string) {
 		return
 	}
 	f.state = StateDone
-	f.gen++ // backstop: kill anything the cancels below missed
 	s.k.Cancel(f.completion)
 	f.completion = simcore.Timer{}
 	s.k.Cancel(f.ramp)
@@ -561,9 +476,10 @@ func (s *Simulator) finalize(f *Flow, completed bool, outcome string) {
 	})
 	// The record now lives in the collector (or has streamed out) and
 	// nothing re-resolves a Done flow (markDirty and the batch runner both
-	// skip them; in-flight events hold the pointer and die on the gen
-	// stamp), so the flow state is reclaimed at once — the piece that
-	// keeps long runs at bounded memory.
+	// skip them, and the completion and ramp timers — the only events
+	// holding the flow — were cancelled above), so the flow state is
+	// reclaimed at once — the piece that keeps long runs at bounded
+	// memory.
 	delete(s.flows, f.ID)
 	delete(s.dirtyFlows, f.ID)
 }

@@ -78,11 +78,9 @@ type Flow struct {
 	sent       float64
 	rate       float64
 	lastSettle simtime.Time
-	gen        uint64 // backstop: invalidates stale completion/ramp events
 
 	// Outstanding timer handles: cancelling removes the event from the
-	// queue outright (no dead corpse waiting to fire as a gen-stamped
-	// no-op). The gen stamp stays as a defensive second line.
+	// queue outright, so a superseded completion or ramp never fires.
 	completion simcore.Timer
 	ramp       simcore.Timer
 
@@ -189,15 +187,6 @@ type Config struct {
 	// says.
 	Links *linkmodel.Set
 
-	// Shards > 1 fans the settle scan of the rate-shift drain — the
-	// per-flow transferred-bits computation after every fair-share
-	// re-solve — across a worker pool of that size. The solve itself and
-	// the apply pass stay serial (they mutate shared allocator, ledger,
-	// and switch-entry state), so results are bit-identical to the
-	// serial path for any value; the win shows on drains touching
-	// thousands of flows (shared-fabric churn, E6-style workloads).
-	Shards int
-
 	// Kernel attaches the simulator to an externally owned simulation
 	// kernel so several engines share one virtual clock (hybrid runs).
 	// Nil means the simulator creates and drives its own kernel, and Run
@@ -258,7 +247,6 @@ type event struct {
 	sim  *Simulator
 
 	flow   *Flow
-	gen    uint64
 	demand traffic.Demand
 	msg    openflow.Message
 	sw     netgraph.NodeID
@@ -316,9 +304,10 @@ func (e *event) Fire() {
 	s.dispatch(e)
 }
 
-// Release implements simcore.Event: recycle the envelope. Stale-event
-// safety comes from the generation stamps (Flow.gen) checked in dispatch,
-// so a recycled envelope can never act for its former flow.
+// Release implements simcore.Event: recycle the envelope. The kernel
+// releases an event only after it fires or is cancelled, and Timer
+// handles go stale with it, so a recycled envelope can never act for its
+// former flow.
 func (e *event) Release() {
 	s := e.sim
 	*e = event{}
@@ -719,7 +708,9 @@ func (s *Simulator) dispatch(e *event) {
 			s.pullArrival()
 		}
 	case evComplete:
-		if e.flow.gen == e.gen && e.flow.state != StateDone {
+		// Every re-arm cancels the previous completion first, so the
+		// firing event is the one f.completion points at.
+		if e.flow.state != StateDone {
 			e.flow.completion = simcore.Timer{}
 			s.handleComplete(e.flow)
 		}

@@ -58,7 +58,6 @@ func (s *Simulator) senderStop(f *pktFlow) {
 	}
 	f.senderStopped = true
 	f.deadlineDoneAt = s.k.Now()
-	f.rtoGen++ // backstop
 	s.k.Cancel(f.rto)
 	f.rto = simcore.Timer{}
 	// The deadline candidate may be the last event this flow ever sees
@@ -407,23 +406,21 @@ func (s *Simulator) handleAck(f *pktFlow, ackSeq int) {
 }
 
 // armRTO (re)schedules the retransmission timer. Every arm removes the
-// previous event from the queue outright (true cancellation); the rtoGen
-// stamp and dispatch gate stay as a defensive backstop.
+// previous event from the queue outright (true cancellation).
 func (s *Simulator) armRTO(f *pktFlow) {
 	s.k.Cancel(f.rto)
 	f.rto = simcore.Timer{}
-	f.rtoGen++
 	if f.inFlight == 0 {
 		return
 	}
 	at := s.k.Now().Add(s.cfg.RTOMin)
-	f.rto = s.schedTimer(event{at: at, kind: evRTO, flow: f, gen: f.rtoGen})
+	f.rto = s.schedTimer(event{at: at, kind: evRTO, flow: f})
 }
 
-// handleRTO retransmits from sendBase with a collapsed window. Callers
-// must have validated the event's generation stamp against f.rtoGen (the
-// dispatch gate); the final cumulative ACK zeroes inFlight, so a timer
-// armed before it can never fire a retransmission afterwards.
+// handleRTO retransmits from sendBase with a collapsed window. The final
+// cumulative ACK zeroes inFlight and re-arms (cancelling the pending
+// timer), so a timer armed before it can never fire a retransmission
+// afterwards.
 func (s *Simulator) handleRTO(f *pktFlow) {
 	if f.inFlight == 0 || f.sendBase >= f.packets {
 		return

@@ -329,10 +329,9 @@ type pktFlow struct {
 	sendBase int // lowest unacked seq
 	dupAcks  int
 	inFlight int
-	rtoGen   uint64 // backstop: invalidates stale evRTO events
 	// rto is the outstanding retransmission timer: every re-arm cancels
-	// the previous event outright instead of leaving a corpse to fire as
-	// a gen-stamped no-op. Written only by the sender shard.
+	// the previous event outright, so a superseded RTO never fires.
+	// Written only by the sender shard.
 	rto simcore.Timer
 
 	// Receiver-owned state.
@@ -389,7 +388,7 @@ type event struct {
 	pkt   *packet
 	dir   int32 // link direction (evTxDone: transmitter; evArriveNode: traveled)
 	node  netgraph.NodeID
-	gen   uint64
+	gen   uint64 // link epoch (evArriveNode) or transmit generation (evTxDone)
 	msg   openflow.Message
 	fn    func()
 	link  netgraph.LinkID
@@ -454,9 +453,10 @@ func (e *event) Fire() {
 	}
 }
 
-// Release implements simcore.Event: recycle the envelope. Generation
-// stamps (pktFlow.rtoGen) checked in dispatch keep recycled envelopes from
-// acting for their former flows.
+// Release implements simcore.Event: recycle the envelope. The kernel
+// releases an event only after it fires or is cancelled, and Timer
+// handles go stale with it, so a recycled envelope can never act for its
+// former flow.
 func (e *event) Release() {
 	s := e.sim
 	*e = event{}
@@ -861,7 +861,7 @@ func (s *Simulator) dispatch(e *event) {
 		// armRTO cancels before re-arming, so at most one RTO event is in
 		// flight per flow and the firing one is what f.rto points at.
 		e.flow.rto = simcore.Timer{}
-		if e.flow.rtoGen == e.gen && !e.flow.srcDead && !e.flow.senderStopped {
+		if !e.flow.srcDead && !e.flow.senderStopped {
 			s.handleRTO(e.flow)
 		}
 	case evStats:

@@ -214,8 +214,7 @@ func TestPacketVsFlowLevelAgreement(t *testing.T) {
 // TestRTOGenerationCancelsStaleTimer is the regression test for RTO
 // cancellation: the final cumulative ACK zeroes the in-flight count and
 // re-arms the timer, which removes the queued RTO event outright (true
-// cancellation — before the Canceler rework the corpse stayed queued and
-// fired as a gen-stamped no-op). The queue must therefore be empty at
+// cancellation). The queue must therefore be empty at
 // completion, and draining anything left must not retransmit or mutate
 // sender state. Completion is purely message-driven (the sender learns it
 // from the ACK stream, never from receiver state), which is what keeps
@@ -245,14 +244,13 @@ func TestRTOGenerationCancelsStaleTimer(t *testing.T) {
 	if n := k.Len(); n != 0 {
 		t.Errorf("%d events still queued at completion; cancellation left a corpse", n)
 	}
-	sent, nextSeq, gen := f.sentBits, f.nextSeq, f.rtoGen
+	sent, nextSeq := f.sentBits, f.nextSeq
 	k.Run(simtime.Never) // fire everything that was still queued
 	if f.sentBits != sent {
 		t.Errorf("stale RTO retransmitted after completion: sentBits %g -> %g", sent, f.sentBits)
 	}
-	if f.nextSeq != nextSeq || f.rtoGen != gen {
-		t.Errorf("stale timer mutated sender state: nextSeq %d->%d rtoGen %d->%d",
-			nextSeq, f.nextSeq, gen, f.rtoGen)
+	if f.nextSeq != nextSeq {
+		t.Errorf("stale timer mutated sender state: nextSeq %d->%d", nextSeq, f.nextSeq)
 	}
 	sim.Finish()
 }

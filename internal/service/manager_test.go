@@ -51,6 +51,17 @@ func busySpec() *wire.SessionSpec {
 	}
 }
 
+// shardedPacketSpec is busySpec at packet fidelity on the given number of
+// shards: the only kind of session that costs more than one worker. The
+// arrival rate drops because packet-level events are ~1000x denser.
+func shardedPacketSpec(shards int) *wire.SessionSpec {
+	spec := busySpec()
+	spec.Options.Fidelity = wire.FidelityPacket
+	spec.Options.Shards = shards
+	spec.Workload.Poisson.Lambda = 200
+	return spec
+}
+
 // drainSession consumes sub until the given session's Done push,
 // returning its records (in arrival order) and the Done event. Pushes of
 // other sessions are ignored.
@@ -215,7 +226,9 @@ func TestRetainedReplayMatchesOneShot(t *testing.T) {
 func parkedSession(t *testing.T, mgr *service.Manager, workers int) (wire.SessionStatus, *service.Subscriber) {
 	t.Helper()
 	spec := busySpec()
-	spec.Options.Shards = workers
+	if workers > 1 {
+		spec = shardedPacketSpec(workers)
+	}
 	sub := service.NewSubscriber(1)
 	st, err := mgr.Submit(spec, "parked", true, sub)
 	if err != nil {
@@ -263,8 +276,7 @@ func TestAdmissionBudgetFIFO(t *testing.T) {
 	}
 
 	// C could never run: its cost exceeds the entire budget.
-	over := busySpec()
-	over.Options.Shards = 3
+	over := shardedPacketSpec(3)
 	var berr *service.BudgetError
 	if _, err := mgr.Submit(over, "", false, nil); !errors.As(err, &berr) {
 		t.Fatalf("oversized submit: %v, want *BudgetError", err)

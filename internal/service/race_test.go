@@ -12,7 +12,7 @@ import (
 )
 
 // mixedSpecs is one spec per fidelity/sharding shape the manager must
-// multiplex: flow, sharded flow, packet, sharded packet, and hybrid.
+// multiplex: flow, flow with shards, packet, sharded packet, and hybrid.
 // Every spec is deterministic, so daemon-run records must be
 // byte-identical to a one-shot run of the same spec.
 func mixedSpecs() []*wire.SessionSpec {
@@ -32,6 +32,8 @@ func mixedSpecs() []*wire.SessionSpec {
 	}
 	flow := base()
 
+	// The Flow engine runs serial; this spec pins that v1 still accepts
+	// shards on a flow spec (legacy acceptance) and runs it serial.
 	flowSharded := base()
 	flowSharded.Options.Shards = 2
 

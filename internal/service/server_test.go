@@ -207,6 +207,7 @@ func TestServerErrorCodes(t *testing.T) {
 	expectCode(err, wire.CodeBadRequest)
 
 	over := flowSpec()
+	over.Options.Fidelity = wire.FidelityPacket
 	over.Options.Shards = 1 << 20
 	_, _, err = c.Submit(wire.SubmitParams{Spec: *over})
 	expectCode(err, wire.CodeTooLarge)

@@ -66,6 +66,9 @@ func (o *options) validate() error {
 		if o.rtoSet {
 			return bad("WithRTOMin", "the Flow engine has no retransmission timer; applies to Packet and Hybrid")
 		}
+		if o.shards != 0 {
+			return bad("WithShards", "the Flow engine runs serial; applies to Packet only")
+		}
 		if o.workersSet {
 			return bad("WithShardWorkers", "only the Packet engine runs the sharded executor")
 		}
@@ -84,7 +87,7 @@ func (o *options) validate() error {
 		}
 	case Hybrid:
 		if o.shards != 0 {
-			return bad("WithShards", "the Hybrid coupler shares one kernel and runs serial; applies to Flow and Packet")
+			return bad("WithShards", "the Hybrid coupler shares one kernel and runs serial; applies to Packet only")
 		}
 		if o.workersSet {
 			return bad("WithShardWorkers", "only the Packet engine runs the sharded executor")
@@ -227,11 +230,10 @@ func WithEventQueue(q EventQueue) Option {
 	}
 }
 
-// WithShards enables multi-core execution with up to k shards. On a
-// Packet engine the topology is edge-cut partitioned and each shard runs
-// its own event loop (records stay byte-identical for any k); on a Flow
-// engine the fair-share settle scan fans across a k-worker pool. Not
-// applicable to Hybrid (shared-kernel runs are serial).
+// WithShards enables multi-core execution with up to k shards — Packet
+// fidelity only. The topology is edge-cut partitioned and each shard runs
+// its own event loop; records stay byte-identical for any k. Flow and
+// Hybrid engines run serial, and any nonzero k on them is a BuildError.
 func WithShards(k int) Option {
 	return func(o *options) error {
 		if k < 0 {
@@ -283,27 +285,13 @@ func WithRTOMin(d Duration) Option {
 
 // WithPacketFraction flags ~p of the demand stream (spread evenly over
 // load order) for packet-level simulation — Hybrid fidelity only. p=0
-// flags none, p=1 all. WithPacketSelector replaces the selector wholesale.
+// flags none, p=1 all.
 func WithPacketFraction(p float64) Option {
 	return func(o *options) error {
 		if p < 0 || p > 1 {
 			return &BuildError{Option: "WithPacketFraction", Reason: fmt.Sprintf("fraction %g outside [0, 1]", p)}
 		}
 		o.packetLevel = hybrid.Fraction(p)
-		o.packetSet = true
-		return nil
-	}
-}
-
-// WithPacketSelector flags demands for packet-level simulation with a
-// custom selector (called per loaded demand with its load order) — Hybrid
-// fidelity only.
-func WithPacketSelector(sel func(i int, d Demand) bool) Option {
-	return func(o *options) error {
-		if sel == nil {
-			return &BuildError{Option: "WithPacketSelector", Reason: "nil selector (omit the option, or use WithPacketFraction)"}
-		}
-		o.packetLevel = sel
 		o.packetSet = true
 		return nil
 	}
@@ -424,22 +412,16 @@ func WithTraceReader(r TraceReader) Option {
 	}
 }
 
-// WithProgress reports run progress to fn once per DefaultProgressEvery
-// of virtual time, driven off the kernel's pre-advance path (window
-// barriers, in sharded runs). Use WithProgressEvery for a different
-// period.
-func WithProgress(fn ProgressFunc) Option {
-	return WithProgressEvery(DefaultProgressEvery, fn)
-}
-
-// WithProgressEvery is WithProgress with an explicit reporting period.
+// WithProgressEvery reports run progress to fn each time virtual time
+// advances by every, driven off the kernel's pre-advance path (window
+// barriers, in sharded runs).
 func WithProgressEvery(every Duration, fn ProgressFunc) Option {
 	return func(o *options) error {
 		if fn == nil {
-			return &BuildError{Option: "WithProgress", Reason: "nil callback"}
+			return &BuildError{Option: "WithProgressEvery", Reason: "nil callback"}
 		}
 		if every <= 0 {
-			return &BuildError{Option: "WithProgress", Reason: fmt.Sprintf("non-positive period %v", every)}
+			return &BuildError{Option: "WithProgressEvery", Reason: fmt.Sprintf("non-positive period %v", every)}
 		}
 		o.progressFn = fn
 		o.progressEvery = every

@@ -118,7 +118,14 @@ func SpecOptions(o wire.OptionsSpec) ([]Option, error) {
 	default:
 		return nil, &BuildError{Option: "WithEventQueue", Reason: fmt.Sprintf("unknown event queue %q", o.EventQueue)}
 	}
-	if o.Shards != 0 {
+	// shards is frozen in v1, but the Flow engine now runs serial: its
+	// retired shard pool never changed results, so a flow spec's shard
+	// count is accepted and runs serial. It still validates as the option
+	// it replaced did.
+	switch {
+	case o.Shards == 0:
+	case fid == Flow && o.Shards > 0:
+	default:
 		opts = append(opts, WithShards(o.Shards))
 	}
 	if o.ShardWorkers != nil {

@@ -262,6 +262,8 @@ func TestSpecOptionsDefaults(t *testing.T) {
 // backend stays a *BuildError. The retired shard_balancing modes are
 // frozen the same way: "uniform", "weighted" and "steal" all run the
 // uniform partition, byte-identical to the sharded run with no balancing.
+// So is shards on a flow spec: the Flow engine runs serial, byte-identical
+// to the spec without shards, at the cost of one worker.
 func TestSpecLegacyEventQueueNames(t *testing.T) {
 	render := func(t *testing.T, fidelity string, mut func(*wire.OptionsSpec)) string {
 		t.Helper()
@@ -310,6 +312,16 @@ func TestSpecLegacyEventQueueNames(t *testing.T) {
 			})
 		}
 	}
+	t.Run("flow/shards=4", func(t *testing.T) {
+		serial := render(t, wire.FidelityFlow, func(o *wire.OptionsSpec) {})
+		got := render(t, wire.FidelityFlow, func(o *wire.OptionsSpec) { o.Shards = 4 })
+		if got != serial {
+			t.Fatal("records differ from the flow run without shards")
+		}
+		if n := (wire.OptionsSpec{Fidelity: wire.FidelityFlow, Shards: 4}).Workers(); n != 1 {
+			t.Errorf("flow spec with shards=4 costs %d workers, want 1", n)
+		}
+	})
 	sharded := render(t, wire.FidelityPacket, func(o *wire.OptionsSpec) { o.Shards = 4 })
 	for _, b := range []string{wire.BalanceUniform, wire.BalanceWeighted, wire.BalanceSteal} {
 		b := b
